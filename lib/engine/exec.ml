@@ -1,89 +1,138 @@
+module Ast = Sia_sql.Ast
 module Plan = Sia_relalg.Plan
 
 exception Unsupported of string
 
-(* Selection-vector execution: filters narrow an index set over their
-   input instead of copying columns, and joins build/probe only selected
-   rows. Materialization happens once, at join outputs and at the root —
-   this is what makes predicate pushdown pay off the way it does in a
-   pipelined engine (the experiment Fig 9 reproduces). *)
-type cursor = { tbl : Table.t; rows : int array option }
+(* Late materialization (DESIGN.md §22): a cursor is an array of parts,
+   each a base table read through an index vector ([None]: every row, in
+   order). Position [k] of the cursor is the row built from
+   [rows.(k)] of every part. Filters and joins only compute index
+   vectors; the root gathers each output column once. *)
+type part = { tbl : Table.t; rows : int array option }
+type cursor = { name : string; parts : part array; n : int }
 
-let cursor_nrows c =
-  match c.rows with Some r -> Array.length r | None -> c.tbl.Table.nrows
+let scan tbl = { name = tbl.Table.name; parts = [| { tbl; rows = None } |]; n = tbl.Table.nrows }
 
-let materialize c =
-  match c.rows with None -> c.tbl | Some r -> Table.gather c.tbl r
+let resolver c name =
+  let rec find i =
+    if i = Array.length c.parts then raise Not_found
+    else
+      let p = c.parts.(i) in
+      match Eval.table_resolver ?index:p.rows p.tbl name with
+      | s -> s
+      | exception Not_found -> find (i + 1)
+  in
+  find 0
+
+(* The part read through cursor positions [sel]. *)
+let compose p (sel : int array) =
+  match p.rows with
+  | None -> { p with rows = Some sel }
+  | Some (ix : int array) ->
+    let out = Array.make (Array.length sel) 0 in
+    for k = 0 to Array.length sel - 1 do
+      out.(k) <- ix.(sel.(k))
+    done;
+    { p with rows = Some out }
 
 let filter_cursor c pred =
-  let f = Eval.compile_pred c.tbl pred in
-  let selected = ref [] in
-  let count = ref 0 in
-  (match c.rows with
-   | None ->
-     for row = c.tbl.Table.nrows - 1 downto 0 do
-       if f row then begin
-         selected := row :: !selected;
-         incr count
-       end
-     done
-   | Some rows ->
-     for k = Array.length rows - 1 downto 0 do
-       if f rows.(k) then begin
-         selected := rows.(k) :: !selected;
-         incr count
-       end
-     done);
-  let arr = Array.make !count 0 in
-  List.iteri (fun i row -> arr.(i) <- row) !selected;
-  { c with rows = Some arr }
+  let sel = Eval.select (resolver c) pred c.n in
+  { c with parts = Array.map (fun p -> compose p sel) c.parts; n = Array.length sel }
+
+(* A growable int buffer for join output. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let bigger = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 bigger 0 b.len;
+    b.data <- bigger
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* Fibonacci hashing into [2^bits] slots. *)
+let hash_bits k bits = (k * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
 
 let join_cursors lc rc ~left_key ~right_key =
-  (* Build on the smaller selected side, probe with the larger. *)
+  (* Build on the smaller side, probe with the larger. *)
   let build, probe, build_key, probe_key, build_is_left =
-    if cursor_nrows lc <= cursor_nrows rc then (lc, rc, left_key, right_key, true)
+    if lc.n <= rc.n then (lc, rc, left_key, right_key, true)
     else (rc, lc, right_key, left_key, false)
   in
-  let bkey = Table.column build.tbl build_key in
-  let pkey = Table.column probe.tbl probe_key in
-  let ht = Hashtbl.create (Stdlib.max 16 (cursor_nrows build)) in
-  (match build.rows with
-   | None -> Array.iteri (fun i k -> Hashtbl.add ht k i) bkey
-   | Some rows -> Array.iter (fun i -> Hashtbl.add ht bkey.(i) i) rows);
-  let bi = ref [] and pi = ref [] in
-  let n = ref 0 in
-  let probe_row j =
-    List.iter
-      (fun i ->
-        bi := i :: !bi;
-        pi := j :: !pi;
-        incr n)
-      (Hashtbl.find_all ht pkey.(j))
+  let key c name = Eval.compile_expr (resolver c) (Ast.col name) in
+  let bk = key build build_key and pk = key probe probe_key in
+  (* SQL's NULL = x is UNKNOWN: a NULL key never matches. *)
+  let not_null (v : Eval.value) = match v.null with None -> fun _ -> true | Some f -> fun r -> not (f r) in
+  let bget = bk.get and pget = pk.get and bok = not_null bk and pok = not_null pk in
+  (* Open addressing over distinct keys; [head.(s)] is the newest build
+     position with the slot's key and [next] chains to older ones, so a
+     probe sees matches newest-first. *)
+  let bits =
+    let rec go b = if 1 lsl b >= 2 * build.n then b else go (b + 1) in
+    go 4
   in
-  (match probe.rows with
-   | None ->
-     for j = 0 to probe.tbl.Table.nrows - 1 do
-       probe_row j
-     done
-   | Some rows -> Array.iter probe_row rows);
-  let bi = Array.of_list (List.rev !bi) and pi = Array.of_list (List.rev !pi) in
-  let name = lc.tbl.Table.name ^ "_" ^ rc.tbl.Table.name in
-  let joined =
-    if build_is_left then Table.concat_columns ~name build.tbl probe.tbl bi pi
-    else Table.concat_columns ~name probe.tbl build.tbl pi bi
+  let mask = (1 lsl bits) - 1 in
+  let keys = Array.make (mask + 1) 0 and head = Array.make (mask + 1) (-1) in
+  let next = Array.make build.n (-1) in
+  let rec slot k s = if head.(s) < 0 || keys.(s) = k then s else slot k ((s + 1) land mask) in
+  for i = 0 to build.n - 1 do
+    if bok i then begin
+      let k = bget i in
+      let s = slot k (hash_bits k bits) in
+      keys.(s) <- k;
+      next.(i) <- head.(s);
+      head.(s) <- i
+    end
+  done;
+  let bi = { data = Array.make (Stdlib.max 16 probe.n) 0; len = 0 } in
+  let pi = { data = Array.make (Stdlib.max 16 probe.n) 0; len = 0 } in
+  for j = 0 to probe.n - 1 do
+    if pok j then begin
+      let k = pget j in
+      let i = ref head.(slot k (hash_bits k bits)) in
+      while !i >= 0 do
+        push bi !i;
+        push pi j;
+        i := next.(!i)
+      done
+    end
+  done;
+  let side c b =
+    let sel = Array.sub b.data 0 b.len in
+    Array.map (fun p -> compose p sel) c.parts
   in
-  { tbl = joined; rows = None }
+  let parts =
+    if build_is_left then Array.append (side build bi) (side probe pi)
+    else Array.append (side probe pi) (side build bi)
+  in
+  { name = lc.name ^ "_" ^ rc.name; parts; n = bi.len }
+
+let materialize c =
+  match c.parts with
+  | [| { tbl; rows = None } |] -> tbl
+  | parts ->
+    let tables =
+      Array.map (fun p -> match p.rows with None -> p.tbl | Some r -> Table.gather p.tbl r) parts
+    in
+    let cat f = Array.concat (Array.to_list (Array.map f tables)) in
+    {
+      Table.name = c.name;
+      col_names = cat (fun t -> t.Table.col_names);
+      cols = cat (fun t -> t.Table.cols);
+      nrows = c.n;
+      null_masks = cat (fun t -> t.Table.null_masks);
+      dicts = cat (fun t -> t.Table.dicts);
+    }
 
 let hash_join ~left ~right ~left_key ~right_key =
-  (join_cursors { tbl = left; rows = None } { tbl = right; rows = None } ~left_key
-     ~right_key)
-    .tbl
+  materialize (join_cursors (scan left) (scan right) ~left_key ~right_key)
 
 let rec run_cursor ~tables plan =
   match plan with
   | Plan.Scan t -> begin
     match List.assoc_opt t tables with
-    | Some tbl -> { tbl; rows = None }
+    | Some tbl -> scan tbl
     | None -> raise (Unsupported ("unknown table " ^ t))
   end
   | Plan.Filter (p, sub) -> filter_cursor (run_cursor ~tables sub) p
@@ -94,8 +143,8 @@ let rec run_cursor ~tables plan =
   | Plan.Join (info, l, r) ->
     let lc = run_cursor ~tables l and rc = run_cursor ~tables r in
     let joined =
-      join_cursors lc rc ~left_key:info.Plan.left_key.Sia_sql.Ast.name
-        ~right_key:info.Plan.right_key.Sia_sql.Ast.name
+      join_cursors lc rc ~left_key:info.Plan.left_key.Ast.name
+        ~right_key:info.Plan.right_key.Ast.name
     in
     (match info.Plan.residual with
      | Some p -> filter_cursor joined p

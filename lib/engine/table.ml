@@ -74,64 +74,72 @@ let column t name = t.cols.(col_index t name)
 let null_mask t name = t.null_masks.(col_index t name)
 let dict t name = t.dicts.(col_index t name)
 
-let select_rows t mask =
-  let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask in
-  let keep (col : int array) =
-    let out = Array.make count 0 in
-    let j = ref 0 in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          out.(!j) <- col.(i);
-          incr j
-        end)
-      mask;
-    out
-  in
-  let keep_mask (m : bool array) =
-    let out = Array.make count false in
-    let j = ref 0 in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          out.(!j) <- m.(i);
-          incr j
-        end)
-      mask;
-    out
-  in
-  {
-    t with
-    cols = Array.map keep t.cols;
-    null_masks = Array.map (Option.map keep_mask) t.null_masks;
-    nrows = count;
-  }
-
 let gather t rows =
   let n = Array.length rows in
+  let pick (src : int array) =
+    let out = Array.make n 0 in
+    for k = 0 to n - 1 do
+      out.(k) <- src.(rows.(k))
+    done;
+    out
+  in
+  let pick_mask (src : bool array) =
+    let out = Array.make n false in
+    for k = 0 to n - 1 do
+      out.(k) <- src.(rows.(k))
+    done;
+    out
+  in
   {
     t with
-    cols = Array.map (fun col -> Array.init n (fun k -> col.(rows.(k)))) t.cols;
-    null_masks =
-      Array.map
-        (Option.map (fun m -> Array.init n (fun k -> m.(rows.(k)))))
-        t.null_masks;
+    cols = Array.map pick t.cols;
+    null_masks = Array.map (Option.map pick_mask) t.null_masks;
     nrows = n;
   }
 
-let concat_columns ~name l r li ri =
-  let n = Array.length li in
-  let gather (src : int array) idx = Array.init n (fun k -> src.(idx.(k))) in
-  let gather_mask (src : bool array) idx = Array.init n (fun k -> src.(idx.(k))) in
-  let lcols = Array.map (fun c -> gather c li) l.cols in
-  let rcols = Array.map (fun c -> gather c ri) r.cols in
-  let lmasks = Array.map (Option.map (fun m -> gather_mask m li)) l.null_masks in
-  let rmasks = Array.map (Option.map (fun m -> gather_mask m ri)) r.null_masks in
-  {
-    name;
-    col_names = Array.append l.col_names r.col_names;
-    cols = Array.append lcols rcols;
-    nrows = n;
-    null_masks = Array.append lmasks rmasks;
-    dicts = Array.append l.dicts r.dicts;
-  }
+let is_null mask r = match mask with Some m -> m.(r) | None -> false
+
+(* Rows compared over the given columns in order, NULL below any value. *)
+let sorted_rows t names =
+  let cols = Array.map (fun n -> (column t n, null_mask t n)) names in
+  let cmp r s =
+    let rec go c =
+      if c = Array.length cols then 0
+      else
+        let col, mask = cols.(c) in
+        let d =
+          match (is_null mask r, is_null mask s) with
+          | true, true -> 0
+          | true, false -> -1
+          | false, true -> 1
+          | false, false -> Int.compare col.(r) col.(s)
+        in
+        if d <> 0 then d else go (c + 1)
+    in
+    go 0
+  in
+  let idx = Array.init t.nrows Fun.id in
+  Array.sort cmp idx;
+  (cols, idx)
+
+let equal_multiset a b =
+  let names t =
+    let n = Array.copy t.col_names in
+    Array.sort String.compare n;
+    n
+  in
+  let na = names a and nb = names b in
+  a.nrows = b.nrows
+  && Array.length na = Array.length nb
+  && Array.for_all2 String.equal na nb
+  &&
+  let ca, ia = sorted_rows a na and cb, ib = sorted_rows b nb in
+  let same_row r s =
+    Array.for_all2
+      (fun ((cola : int array), ma) (colb, mb) ->
+        let null_a = is_null ma r in
+        Bool.equal null_a (is_null mb s) && (null_a || cola.(r) = colb.(s)))
+      ca cb
+  in
+  let rec rows k = k = a.nrows || (same_row ia.(k) ib.(k) && rows (k + 1)) in
+  rows 0

@@ -48,12 +48,11 @@ val dict : t -> string -> Sia_sql.Strdict.t option
 (** The column's string dictionary, or [None] for numeric columns.
     @raise Not_found for unknown column names. *)
 
-val select_rows : t -> bool array -> t
-(** Keep rows whose mask bit is set. *)
-
-val concat_columns : name:string -> t -> t -> int array -> int array -> t
-(** [concat_columns ~name l r li ri] builds a table whose rows are the
-    pairs [(l row li.(k), r row ri.(k))]; used by the hash join. *)
-
 val gather : t -> int array -> t
 (** Materialize the given rows, in order (selection-vector flush). *)
+
+val equal_multiset : t -> t -> bool
+(** NULL-aware result equality: the same set of column names and the
+    same rows as a multiset, where NULL equals NULL (as in GROUP BY) and
+    column order, row order and table name are ignored. Values compare
+    as stored ints, so string columns must share their dictionaries. *)

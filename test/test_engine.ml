@@ -31,8 +31,9 @@ let test_table_select_rows () =
     Table.create ~name:"t" ~col_names:[ "a" ]
       ~rows:[ [| 1 |]; [| 2 |]; [| 3 |]; [| 4 |] ] ()
   in
-  let t' = Table.select_rows t [| true; false; true; false |] in
-  Alcotest.(check (array int)) "mask keeps 1,3" [| 1; 3 |] (Table.column t' "a")
+  let t' = Table.gather t [| 0; 2 |] in
+  Alcotest.(check (array int)) "rows 0,2 keep 1,3" [| 1; 3 |] (Table.column t' "a");
+  Alcotest.(check int) "row count" 2 t'.Table.nrows
 
 (* --- TPC-H generator --- *)
 
@@ -190,7 +191,8 @@ let test_plan_execution_equivalence () =
   let pushed = Planner.plan Schema.tpch q in
   let out1 = Exec.run ~tables naive in
   let out2 = Exec.run ~tables pushed in
-  Alcotest.(check int) "same cardinality" out1.Table.nrows out2.Table.nrows;
+  Alcotest.(check bool) "nonempty" true (out1.Table.nrows > 0);
+  Alcotest.(check bool) "same result multiset" true (Table.equal_multiset out1 out2);
   Alcotest.(check bool) "pushed plan differs from naive" true (not (Sia_relalg.Plan.equal naive pushed))
 
 (* --- Three-valued NULL semantics (examples/null_semantics.ml, asserted) --- *)
@@ -255,7 +257,248 @@ let prop_filter_join_commute =
       in
       let naive = Planner.naive_plan Schema.tpch q in
       let pushed = Planner.plan Schema.tpch q in
-      (Exec.run ~tables naive).Table.nrows = (Exec.run ~tables pushed).Table.nrows)
+      Table.equal_multiset (Exec.run ~tables naive) (Exec.run ~tables pushed))
+
+(* --- Join row order and NULL keys (fixed fixtures) --- *)
+
+let kv name k v rows =
+  Table.create ~name ~col_names:[ k; v ] ~rows:(List.map (fun (a, b) -> [| a; b |]) rows) ()
+
+let test_join_row_order () =
+  let l = kv "l" "lk" "lv" [ (1, 10); (2, 11); (1, 12); (3, 13) ] in
+  let r = kv "r" "rk" "rv" [ (1, 20); (1, 21); (2, 22) ] in
+  (* r is smaller, so it is the build side: rows come in probe (l)
+     order, and each probe row's matches newest-first *)
+  let j = Exec.hash_join ~left:l ~right:r ~left_key:"lk" ~right_key:"rk" in
+  Alcotest.(check string) "name" "l_r" j.Table.name;
+  Alcotest.(check (array string)) "columns" [| "lk"; "lv"; "rk"; "rv" |] j.Table.col_names;
+  Alcotest.(check (array int)) "lv" [| 10; 10; 11; 12; 12 |] (Table.column j "lv");
+  Alcotest.(check (array int)) "rv" [| 21; 20; 22; 21; 20 |] (Table.column j "rv");
+  (* swapped: the smaller left side builds, columns stay left-first *)
+  let j = Exec.hash_join ~left:r ~right:l ~left_key:"rk" ~right_key:"lk" in
+  Alcotest.(check string) "name" "r_l" j.Table.name;
+  Alcotest.(check (array string)) "columns" [| "rk"; "rv"; "lk"; "lv" |] j.Table.col_names;
+  Alcotest.(check (array int)) "rv" [| 21; 20; 22; 21; 20 |] (Table.column j "rv");
+  Alcotest.(check (array int)) "lv" [| 10; 10; 11; 12; 12 |] (Table.column j "lv");
+  (* a pushed filter and a residual narrow the cursor without reordering *)
+  let plan =
+    Sia_relalg.Plan.Join
+      ( {
+          Sia_relalg.Plan.left_key = { Ast.table = None; name = "lk" };
+          right_key = { Ast.table = None; name = "rk" };
+          residual = Some Ast.(col "lv" +! col "rv" >! int_ 31);
+        },
+        Sia_relalg.Plan.Filter (Ast.(col "lv" <>! int_ 11), Sia_relalg.Plan.Scan "l"),
+        Sia_relalg.Plan.Scan "r" )
+  in
+  let out = Exec.run ~tables:[ ("l", l); ("r", r) ] plan in
+  Alcotest.(check string) "run name" "l_r" out.Table.name;
+  Alcotest.(check (array int)) "run lv" [| 12; 12 |] (Table.column out "lv");
+  Alcotest.(check (array int)) "run rv" [| 20; 21 |] (Table.column out "rv")
+
+let test_join_null_keys () =
+  (* A NULL key's stored padding equals a real key on the other side;
+     SQL's NULL = x is UNKNOWN, so those rows must not match. *)
+  let l =
+    Table.create ~name:"l" ~col_names:[ "lk"; "lv" ]
+      ~nulls:[ ("lk", [| false; true; false |]) ]
+      ~rows:[ [| 1; 10 |]; [| 1; 11 |]; [| 0; 12 |] ]
+      ()
+  in
+  let r =
+    Table.create ~name:"r" ~col_names:[ "rk"; "rv" ]
+      ~nulls:[ ("rk", [| false; true; false |]) ]
+      ~rows:[ [| 1; 20 |]; [| 0; 21 |]; [| 2; 22 |] ]
+      ()
+  in
+  (* equal sizes build the left input, so each side's NULL is met both
+     while building and while probing *)
+  List.iter
+    (fun (left, right, lkey, rkey) ->
+      let j = Exec.hash_join ~left ~right ~left_key:lkey ~right_key:rkey in
+      Alcotest.(check (array int)) "only the non-NULL pair (lv)" [| 10 |] (Table.column j "lv");
+      Alcotest.(check (array int)) "only the non-NULL pair (rv)" [| 20 |] (Table.column j "rv"))
+    [ (l, r, "lk", "rk"); (r, l, "rk", "lk") ]
+
+let test_filter_conjunct_order () =
+  (* a later conjunct never sees a row an earlier one rejected *)
+  let t = Table.create ~name:"t" ~col_names:[ "a" ] ~rows:[ [| 0 |]; [| 1 |]; [| 4 |] ] () in
+  let p = Parser.parse_predicate "a > 0 AND 2 / a > 0" in
+  Alcotest.(check (array int)) "a = 0 never divides" [| 1 |] (Table.column (Eval.filter t p) "a")
+
+(* --- Differential: Exec.run against a nested-loop reference --- *)
+
+(* Three small tables over a catalog of nullable columns; joins go
+   r.r_k = s.s_k and s.s_j = u.u_j. Values come from tiny ranges, so
+   keys repeat and collide with the padding stored under NULLs. *)
+type kind = Num | Str
+
+let modes = Sia_sql.Strdict.make [ "AIR"; "MAIL"; "RAIL"; "SHIP"; "TRUCK" ]
+
+let diff_tables =
+  [
+    ("r", [ ("r_k", Num); ("r_a", Num); ("r_m", Str) ]);
+    ("s", [ ("s_k", Num); ("s_j", Num); ("s_b", Num) ]);
+    ("u", [ ("u_j", Num); ("u_c", Num); ("u_m", Str) ]);
+  ]
+
+let diff_cat : Schema.catalog =
+  List.map
+    (fun (tname, cols) ->
+      {
+        Schema.tname;
+        row_estimate = 10;
+        columns =
+          List.map
+            (fun (cname, k) ->
+              {
+                Schema.cname;
+                ctype = (match k with Num -> Schema.Tint | Str -> Schema.Tstring modes);
+                nullable = true;
+              })
+            cols;
+      })
+    diff_tables
+
+let gen_table (tname, cols) =
+  QCheck.Gen.(
+    let* n = frequency [ (1, return 0); (6, int_range 1 6) ] in
+    let* columns =
+      flatten_l
+        (List.map
+           (fun (c, k) ->
+             (* no NULLs, about a third, or about two thirds *)
+             let* density = int_range 0 2 in
+             let* vals = array_size (return n) (int_range 0 (match k with Num -> 3 | Str -> 4)) in
+             let* nulls = array_size (return n) (map (fun x -> x < density) (int_range 0 2)) in
+             return (c, k, vals, if density = 0 then None else Some nulls))
+           cols)
+    in
+    return
+      (Table.of_columns ~name:tname
+         ~nulls:(List.filter_map (fun (c, _, _, m) -> Option.map (fun m -> (c, m)) m) columns)
+         ~dicts:
+           (List.filter_map
+              (fun (c, k, _, _) -> match k with Str -> Some (c, modes) | Num -> None)
+              columns)
+         (List.map (fun (c, _, v, _) -> (c, v)) columns)))
+
+let gen_residual cols =
+  let nums = List.filter_map (fun (c, k) -> match k with Num -> Some c | Str -> None) cols in
+  let strs = List.filter_map (fun (c, k) -> match k with Str -> Some c | Num -> None) cols in
+  QCheck.Gen.(
+    let num = map Ast.col (oneofl nums) in
+    let const = map Ast.int_ (int_range (-1) 4) in
+    let op = oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Ne ] in
+    let lit = oneofl [ "AIR"; "MAIL"; "RAIL"; "SHIP"; "TRUCK"; "BUS"; "M" ] in
+    let atom =
+      frequency
+        [
+          (3, map3 (fun o a b -> Ast.Cmp (o, a, b)) op num const);
+          (2, map3 (fun o a b -> Ast.Cmp (o, a, b)) op num num);
+          (2, map3 (fun o a b -> Ast.Cmp (o, Ast.(a +! b), Ast.int_ 3)) op num num);
+          ( 1,
+            map2
+              (fun a cs -> Ast.In (a, List.map (fun c -> Ast.Cint c) cs))
+              num
+              (list_size (int_range 1 3) (int_range 0 3)) );
+          (1, map3 (fun a lo hi -> Ast.Between (a, lo, hi)) num const const);
+          ( 2,
+            map3 (fun o c s -> Ast.Cmp (o, Ast.col c, Ast.str s)) op (oneofl strs) lit );
+          ( 1,
+            map2
+              (fun c p -> Ast.Like (Ast.col c, p))
+              (oneofl strs)
+              (oneofl [ "A%"; "MA%"; "R%"; "T%"; "X%"; "SHIP" ]) );
+          (2, map (fun c -> Ast.IsNull (Ast.col c)) (oneofl (nums @ strs)));
+          ( 1,
+            map3
+              (fun (o, guard) v e -> Ast.Cmp (o, Ast.Case ([ (guard, v) ], e), Ast.int_ 2))
+              (pair op (map2 (fun a b -> Ast.Cmp (Ast.Lt, a, b)) num num))
+              num const );
+        ]
+    in
+    let rec tree depth =
+      if depth = 0 then atom
+      else
+        frequency
+          [
+            (3, atom);
+            (2, map2 (fun a b -> Ast.And (a, b)) (tree (depth - 1)) (tree (depth - 1)));
+            (2, map2 (fun a b -> Ast.Or (a, b)) (tree (depth - 1)) (tree (depth - 1)));
+            (1, map (fun a -> Ast.Not a) (tree (depth - 1)));
+          ]
+    in
+    int_range 0 2 >>= tree)
+
+type diff_case = { db : (string * Table.t) list; query : Ast.query }
+
+let gen_case =
+  QCheck.Gen.(
+    let* three = bool in
+    let from = if three then [ "r"; "s"; "u" ] else [ "r"; "s" ] in
+    let specs = List.filter (fun (t, _) -> List.mem t from) diff_tables in
+    let* db = flatten_l (List.map (fun spec -> map (fun t -> (fst spec, t)) (gen_table spec)) specs) in
+    let* residual = gen_residual (List.concat_map snd specs) in
+    let eq a b = Ast.Cmp (Ast.Eq, Ast.col a, Ast.col b) in
+    let joins = if three then [ eq "r_k" "s_k"; eq "u_j" "s_j" ] else [ eq "s_k" "r_k" ] in
+    return { db; query = { Ast.select = [ Ast.Star ]; from; where = Some (Ast.conj (joins @ [ residual ])) } })
+
+let print_case c =
+  let cell t i r =
+    match t.Table.null_masks.(i) with
+    | Some m when m.(r) -> "NULL"
+    | _ -> string_of_int t.Table.cols.(i).(r)
+  in
+  let table (name, t) =
+    Printf.sprintf "%s(%s):\n%s" name
+      (String.concat ", " (Array.to_list t.Table.col_names))
+      (String.concat "\n"
+         (List.init t.Table.nrows (fun r ->
+              "  " ^ String.concat ", " (List.init (Array.length t.Table.cols) (fun i -> cell t i r)))))
+  in
+  String.concat "\n" (Sia_sql.Printer.string_of_query c.query :: List.map table c.db)
+
+(* The FROM tables' cross product, first table varying slowest. *)
+let cross_product tables =
+  let total = List.fold_left (fun acc t -> acc * t.Table.nrows) 1 tables in
+  let _, parts =
+    List.fold_right
+      (fun t (stride, acc) ->
+        let n = t.Table.nrows in
+        (stride * n, Table.gather t (Array.init total (fun k -> k / stride mod n)) :: acc))
+      tables (1, [])
+  in
+  let cat f = Array.concat (List.map f parts) in
+  {
+    Table.name = "cross";
+    col_names = cat (fun t -> t.Table.col_names);
+    cols = cat (fun t -> t.Table.cols);
+    nrows = total;
+    null_masks = cat (fun t -> t.Table.null_masks);
+    dicts = cat (fun t -> t.Table.dicts);
+  }
+
+(* The naive plan with its top filter moved into the join's residual. *)
+let rec residual_plan = function
+  | Sia_relalg.Plan.Project (items, sub) -> Sia_relalg.Plan.Project (items, residual_plan sub)
+  | Sia_relalg.Plan.Filter (p, Sia_relalg.Plan.Join (info, l, r)) ->
+    Sia_relalg.Plan.Join ({ info with Sia_relalg.Plan.residual = Some p }, l, r)
+  | plan -> plan
+
+let prop_engine_differential =
+  QCheck.Test.make ~name:"Exec.run = nested loop over the cross product" ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let x = cross_product (List.map (fun t -> List.assoc t c.db) c.query.Ast.from) in
+      let where = Option.get c.query.Ast.where in
+      let ev = Eval.compile_pred3 x where in
+      let keep = List.filter (fun r -> ev r = Eval.Tv_true) (List.init x.Table.nrows Fun.id) in
+      let expected = Table.gather x (Array.of_list keep) in
+      let naive = Planner.naive_plan diff_cat c.query in
+      List.for_all
+        (fun plan -> Table.equal_multiset expected (Exec.run ~tables:c.db plan))
+        [ naive; Planner.plan diff_cat c.query; residual_plan naive ])
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -282,8 +525,11 @@ let () =
         [
           Alcotest.test_case "hash join FK" `Quick test_hash_join_fk;
           Alcotest.test_case "plan equivalence" `Quick test_plan_execution_equivalence;
+          Alcotest.test_case "join row order" `Quick test_join_row_order;
+          Alcotest.test_case "NULL join keys never match" `Quick test_join_null_keys;
+          Alcotest.test_case "conjunct-at-a-time filter" `Quick test_filter_conjunct_order;
         ] );
-      ("exec-props", qsuite [ prop_filter_join_commute ]);
+      ("exec-props", qsuite [ prop_filter_join_commute; prop_engine_differential ]);
       ( "null-semantics",
         [
           Alcotest.test_case "tautology trap" `Quick test_null_tautology_trap;
