@@ -607,9 +607,8 @@ let json_string_field row name =
    "bench" tag matches the running benchmark, so one baseline file can
    carry a row per subcommand ("synthesis", "suite", ...). Beyond
    valid/optimal, the gate also holds two solver-health lines when the
-   baseline row carries them: shared-context clustering must keep
-   engaging (solver_shared_hits, checked only while sharing is on),
-   certificate rejections must not appear (cert_rejections), and sample
+   baseline row carries them: certificate rejections must not appear
+   (cert_rejections), and sample
    generation must stay within 1.5x of the recorded gen_cpu_s (a coarse
    multiplier: CI machines differ, order-of-magnitude ladder regressions
    do not). Fields absent from an older baseline row are skipped. *)
@@ -645,13 +644,6 @@ let check_baseline ?(tag = "synthesis") ~valid ~optimal ~gen_cpu
           file valid bv optimal bo;
         exit 1
       end;
-      (match json_int_field row "solver_shared_hits" with
-       | Some bh when Solver.sharing () && sv.Solver.shared_hits < bh ->
-         Printf.eprintf
-           "!! sharing regression vs %s: solver_shared_hits %d (baseline %d)\n"
-           file sv.Solver.shared_hits bh;
-         exit 1
-       | _ -> ());
       (match json_int_field row "cert_rejections" with
        | Some br when sv.Solver.cert_rejections > br ->
          Printf.eprintf
@@ -667,9 +659,8 @@ let check_baseline ?(tag = "synthesis") ~valid ~optimal ~gen_cpu
          exit 1
        | _ -> ());
       Printf.printf
-        "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, shared_hits %d, cert_rejections %d, gen_cpu_s %.3f)\n"
-        file tag valid bv optimal bo sv.Solver.shared_hits
-        sv.Solver.cert_rejections gen_cpu
+        "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, cert_rejections %d, gen_cpu_s %.3f)\n"
+        file tag valid bv optimal bo sv.Solver.cert_rejections gen_cpu
     | _ ->
       Printf.eprintf "baseline %s: row lacks valid/optimal fields\n" file;
       exit 1)
@@ -809,7 +800,7 @@ let run_perf () =
        contradictory. *)
     let json =
       Printf.sprintf
-        "{\"bench\":\"synthesis\",\"queries\":%d,\"attempts\":%d,\"valid\":%d,\"optimal\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"gen_model_reuse_hits\":%d,\"gen_underapprox_solves\":%d,\"gen_fallbacks\":%d,\"cegqi_instantiations\":%d,\"online_cores\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_encodings\":%d,\"solver_instances\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_propagations\":%d,\"solver_restarts\":%d,\"solver_pivots\":%d,\"share\":%b,\"solver_clusters\":%d,\"solver_shared_hits\":%d,\"solver_shared_misses\":%d,\"solver_shared_lemmas\":%d,\"solver_encode_s\":%.3f,\"solver_search_s\":%.3f,\"solver_theory_s\":%.3f,\"paranoid\":%b,\"cert_lemmas\":%d,\"cert_proofs\":%d,\"cert_models\":%d,\"cert_rejections\":%d,\"cert_s\":%.3f,\"audit_passed\":%d,\"audit_failed\":%d,\"audit_s\":%.3f,\"cert_overhead\":%.3f%s}"
+        "{\"bench\":\"synthesis\",\"queries\":%d,\"attempts\":%d,\"valid\":%d,\"optimal\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"gen_model_reuse_hits\":%d,\"gen_underapprox_solves\":%d,\"gen_fallbacks\":%d,\"cegqi_instantiations\":%d,\"online_cores\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_encodings\":%d,\"solver_instances\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_propagations\":%d,\"solver_restarts\":%d,\"solver_pivots\":%d,\"solver_encode_s\":%.3f,\"solver_search_s\":%.3f,\"solver_theory_s\":%.3f,\"paranoid\":%b,\"cert_lemmas\":%d,\"cert_proofs\":%d,\"cert_models\":%d,\"cert_rejections\":%d,\"cert_s\":%.3f,\"audit_passed\":%d,\"audit_failed\":%d,\"audit_s\":%.3f,\"cert_overhead\":%.3f%s}"
         n (List.length stats) valid optimal wall
         (sum (fun s -> s.Synthesize.gen_time))
         (sum (fun s -> s.Synthesize.learn_time))
@@ -821,10 +812,7 @@ let run_perf () =
         sv.Solver.instances sv.Solver.theory_rounds sv.Solver.reused_rounds
         sv.Solver.extended_rounds sv.Solver.tableau_rebuilds sv.Solver.conflicts
         sv.Solver.propagations sv.Solver.restarts sv.Solver.pivots
-        (Solver.sharing ()) sv.Solver.clusters sv.Solver.shared_hits
-        sv.Solver.shared_misses sv.Solver.shared_lemmas
-        sv.Solver.encode_time
-        sv.Solver.search_time sv.Solver.theory_time !paranoid sv.Solver.cert_lemmas
+        sv.Solver.encode_time sv.Solver.search_time sv.Solver.theory_time !paranoid sv.Solver.cert_lemmas
         sv.Solver.cert_proofs sv.Solver.cert_models sv.Solver.cert_rejections
         sv.Solver.cert_time !audit_passed !audit_failed audit_wall cert_overhead
         pool_fields
@@ -845,7 +833,7 @@ let run_perf () =
   in
   (* --dump-sql FILE: one rendered predicate per attempt, in attempt
      order, from the sequential (canonical) batch — the byte-diff anchor
-     for the SIA_SHARE on/off CI comparison. *)
+     for comparing rewritten SQL across builds. *)
   let dump_rendered (b : Synthesize.batch) =
     Option.iter
       (fun file ->
@@ -1026,7 +1014,7 @@ let run_suite () =
     in
     let json =
       Printf.sprintf
-        "{\"bench\":\"suite\",\"queries\":%d,\"templates\":%d,\"variants\":%d,\"valid\":%d,\"optimal\":%d,\"trivial\":%d,\"failed\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"n_in\":%d,\"n_between\":%d,\"n_case\":%d,\"n_like\":%d,\"n_isnull\":%d,\"n_string_eq\":%d,%s,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_pivots\":%d,\"share\":%b,\"solver_clusters\":%d,\"solver_shared_hits\":%d,\"solver_shared_misses\":%d,\"solver_shared_lemmas\":%d,\"paranoid\":%b,\"cert_rejections\":%d,\"audit_passed\":%d,\"audit_failed\":%d,\"jobs_requested\":%d}"
+        "{\"bench\":\"suite\",\"queries\":%d,\"templates\":%d,\"variants\":%d,\"valid\":%d,\"optimal\":%d,\"trivial\":%d,\"failed\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"n_in\":%d,\"n_between\":%d,\"n_case\":%d,\"n_like\":%d,\"n_isnull\":%d,\"n_string_eq\":%d,%s,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_pivots\":%d,\"paranoid\":%b,\"cert_rejections\":%d,\"audit_passed\":%d,\"audit_failed\":%d,\"jobs_requested\":%d}"
         (List.length queries)
         (List.length queries / max 1 variants)
         variants valid optimal trivial failed wall
@@ -1038,9 +1026,7 @@ let run_suite () =
         sv.Solver.queries sv.Solver.cache_hits sv.Solver.theory_rounds
         sv.Solver.reused_rounds sv.Solver.extended_rounds
         sv.Solver.tableau_rebuilds sv.Solver.conflicts sv.Solver.pivots
-        (Solver.sharing ()) sv.Solver.clusters sv.Solver.shared_hits
-        sv.Solver.shared_misses sv.Solver.shared_lemmas !paranoid
-        sv.Solver.cert_rejections audit_passed audit_failed jobs
+        !paranoid sv.Solver.cert_rejections audit_passed audit_failed jobs
     in
     Format.printf "solver: %a@." Solver.pp_stats sv;
     print_endline json;
@@ -1048,7 +1034,7 @@ let run_suite () =
   in
   (* --dump-sql FILE: one rendered synthesized predicate per attempt, in
      suite order, from the sequential (canonical) run — the byte-diff
-     anchor for the SIA_SHARE on/off CI comparison over the full
+     anchor for comparing rewritten SQL across builds over the full
      grammar. *)
   let dump_rendered rs =
     Option.iter
@@ -1374,7 +1360,7 @@ let run_serve_load () =
   in
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"daemon_solver_shared_hits\":%d,\"share\":%b,\"paranoid\":%b}"
+      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"paranoid\":%b}"
       n t_count !failed_templates
       (String.concat ","
          (List.rev_map
@@ -1387,9 +1373,7 @@ let run_serve_load () =
       (pct 0.50) (pct 0.95) (pct 0.99) hit_rate !cached !errors
       (dfield "cache_hits") (dfield "cache_misses")
       (dfield "cache_insertions") (dfield "cache_entries")
-      (dfield "solver_queries") (dfield "solver_cache_hits")
-      (dfield "solver_shared_hits")
-      Config.default.Config.share !paranoid
+      (dfield "solver_queries") (dfield "solver_cache_hits") !paranoid
   in
   print_endline json;
   if !errors > 0 then begin

@@ -133,8 +133,8 @@ let rewrite_cmd =
 
 let run_serve socket ttl capacity trace_file paranoid =
   let cfg = { Config.default with Config.paranoid = Config.default.Config.paranoid || paranoid } in
-  Printf.printf "sia serve: listening on %s (ttl %gs, capacity %d, share=%b, paranoid=%b)\n%!"
-    socket ttl capacity cfg.Config.share cfg.Config.paranoid;
+  Printf.printf "sia serve: listening on %s (ttl %gs, capacity %d, paranoid=%b)\n%!"
+    socket ttl capacity cfg.Config.paranoid;
   Sia_serve.Server.run
     { Sia_serve.Server.socket_path = socket; cfg; ttl; capacity; trace_file }
 
@@ -168,10 +168,9 @@ let serve_cmd =
     `S Manpage.s_description;
     `P "Listens for length-prefixed protocol frames carrying SQL, answers \
         with the rewritten query and per-request statistics, and keeps \
-        solver hot state (session pool, memo cache, shared-context \
-        clusters, learnt clauses) plus a template-keyed rewrite cache \
-        resident between requests. Stop with SIGTERM/SIGINT or a Shutdown \
-        request.";
+        solver hot state (memo cache, sample model pool) plus a \
+        template-keyed rewrite cache resident between requests. Stop \
+        with SIGTERM/SIGINT or a Shutdown request.";
   ] in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(const run_serve $ socket_arg $ ttl_arg $ capacity_arg

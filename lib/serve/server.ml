@@ -139,11 +139,11 @@ let stats_json state =
   let c = Cache.stats state.cache in
   let sv = Rewrite.Hot.solver_delta state.hot in
   Printf.sprintf
-    "{\"serve\":\"stats\",\"requests\":%d,\"uptime_s\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_insertions\":%d,\"cache_expirations\":%d,\"cache_invalidations\":%d,\"cache_entries\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_shared_hits\":%d,\"solver_clusters\":%d,\"solver_theory_rounds\":%d,\"solver_pivots\":%d}"
+    "{\"serve\":\"stats\",\"requests\":%d,\"uptime_s\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_insertions\":%d,\"cache_expirations\":%d,\"cache_invalidations\":%d,\"cache_entries\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_pivots\":%d}"
     state.requests (state.uptime ()) c.Cache.hits c.Cache.misses
     c.Cache.insertions c.Cache.expirations c.Cache.invalidations c.Cache.entries
-    sv.Solver.queries sv.Solver.cache_hits sv.Solver.shared_hits
-    sv.Solver.clusters sv.Solver.theory_rounds sv.Solver.pivots
+    sv.Solver.queries sv.Solver.cache_hits sv.Solver.theory_rounds
+    sv.Solver.pivots
 
 (* Returns the response and whether the daemon should stop. *)
 let handle state req =

@@ -12,8 +12,6 @@ type t = {
   seed : int;
   paranoid : bool;
   jobs : int;
-  share : bool;
-  cegqi : bool;
   trace : bool;
 }
 
@@ -33,26 +31,6 @@ let env_jobs =
     | Some n when n >= 1 -> n
     | Some _ | None -> 1)
   | None -> 1
-
-(* Shared-context clustering (Solver skeleton clusters). On by default —
-   sharing never changes observable answers — with SIA_SHARE=0 as the
-   escape hatch for A/B runs and the CI byte-equality diff. *)
-let env_share =
-  match Sys.getenv_opt "SIA_SHARE" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
-(* Fast-path trust for the sample-generation ladder and the CEGQI
-   oracle. The ladder itself runs in every mode (so both legs see the
-   same models); the flag only selects how each fast answer is checked —
-   on (the default): a checkable witness (strict evaluation, certified
-   final cores); off: re-derivation of every fast answer on the certified
-   slow path, as paranoid mode also forces. SIA_CEGQI=0 is the A/B leg
-   for the CI byte-equality diff. *)
-let env_cegqi =
-  match Sys.getenv_opt "SIA_CEGQI" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
 
 (* Structured tracing (lib/trace). The CLI and bench turn it on via
    --trace/--metrics; the environment switch covers test runs and any
@@ -77,8 +55,6 @@ let default =
     seed = 2021;
     paranoid = env_paranoid;
     jobs = env_jobs;
-    share = env_share;
-    cegqi = env_cegqi;
     trace = env_trace;
   }
 

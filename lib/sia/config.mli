@@ -21,8 +21,10 @@ type t = {
   seed : int;
   paranoid : bool;
       (** audit every solver verdict through the independent certificate
-          checker ([lib/check]) and re-derive the validity of every
-          emitted rewrite before it is returned. Defaults to the
+          checker ([lib/check]), re-derive every fast-path sample
+          (model-pool replay, CEGQI witness) on the certified slow path
+          ({!Sia_smt.Solver.solve_fresh}), and re-derive the validity of
+          every emitted rewrite before it is returned. Defaults to the
           [SIA_PARANOID] environment variable (tests/CI set it; bench and
           the CLI opt in explicitly). *)
   jobs : int;
@@ -31,23 +33,6 @@ type t = {
           forked workers. [1] (the default, or the [SIA_JOBS] environment
           variable) runs in-process with no fork. Parallel runs emit
           byte-identical results to sequential ones — see [lib/pool]. *)
-  share : bool;
-      (** shared-context clustering: solve same-skeleton queries in one
-          persistent cluster session ({!Sia_smt.Solver.set_sharing}).
-          Observable results are bit-identical either way — only cost
-          changes. Defaults to the [SIA_SHARE] environment variable
-          (on unless set to ["0"]). *)
-  cegqi : bool;
-      (** trust fast-path sample answers (model-pool replay, narrowed
-          under-approximations, CEGQI witnesses) on the strength of their
-          checkable witness — a strictly evaluating model, or solver
-          certificates for Unsat cores. When [false] (or whenever
-          [paranoid] is set) every fast answer is additionally re-derived
-          on the certified slow path ({!Sia_smt.Solver.solve_fresh}), and
-          any disagreement raises {!Sia_smt.Cert.Certificate_error}. The
-          ladder itself runs in both modes, so observable results are
-          byte-identical — only checking cost changes. Defaults to the
-          [SIA_CEGQI] environment variable (on unless set to ["0"]). *)
   trace : bool;
       (** emit structured trace events ([lib/trace]) for this run:
           {!Synthesize.synthesize} enables the global trace sink when set.

@@ -154,10 +154,10 @@ let plans cat r =
 (* ------------------------------------------------------------------ *)
 
 (* A handle pins everything the per-call entry points re-derive on every
-   invocation — catalog, config, the sharing/paranoid solver modes — and
+   invocation — catalog, config, the paranoid solver mode — and
    accumulates per-request solver deltas, so a serving process pays the
-   setup once and keeps the process-global hot state (memo cache, shared
-   clusters, learnt clauses) deliberately resident between requests. *)
+   setup once and keeps the process-global hot state (memo cache, model
+   pool) deliberately resident between requests. *)
 module Hot = struct
   type t = {
     cat : Schema.catalog;
@@ -169,10 +169,9 @@ module Hot = struct
   let create ?cfg cat =
     let cfg = Option.value cfg ~default:Config.default in
     (* Fix the global solver modes once, at handle creation: a resident
-       process must not have its sharing/auditing state flipped as a side
-       effect of each request the way one-shot CLI calls tolerate. *)
+       process must not have its auditing state flipped as a side effect
+       of each request the way one-shot CLI calls tolerate. *)
     if cfg.Config.paranoid then Sia_check.Check.enable ();
-    Solver.set_sharing cfg.Config.share;
     if cfg.Config.trace then Trace.enable ();
     { cat; cfg; requests = 0; solver_delta = Solver.stats_zero }
 
@@ -205,14 +204,12 @@ let rewrite_all ?cfg cat tasks =
      the pool to absorb the forked workers' trace events. *)
   if cfg.Config.trace then Trace.enable ();
   let run (q, target_cols) = rewrite_for_columns ~cfg cat q ~target_cols in
-  (* Shard by query template (see [Synthesize.pred_skeleton]): constant
-     variants of one query keep their solver clusters on one worker. Cap
-     the fork width like [synthesize_batch] does. *)
+  (* Shard by the (from, pred) pair synthesis sees — the model-pool
+     family key — so one query's tasks run on one worker in submission
+     order. Cap the fork width like [synthesize_batch] does. *)
   let group_of, jobs =
     Synthesize.plan_shards ~requested:cfg.Config.jobs tasks (fun (q, _) ->
-        ( q.Ast.from,
-          q.Ast.select,
-          Option.map Synthesize.pred_skeleton q.Ast.where ))
+        (q.Ast.from, non_join_pred cat q))
   in
   if jobs <= 1 then List.map run tasks
   else begin
@@ -231,7 +228,6 @@ let rewrite_all ?cfg cat tasks =
             [
               ("queries", float_of_int s.Solver.queries);
               ("cache_hits", float_of_int s.Solver.cache_hits);
-              ("shared_hits", float_of_int s.Solver.shared_hits);
               ("theory_rounds", float_of_int s.Solver.theory_rounds);
               ("pivots", float_of_int s.Solver.pivots);
             ])

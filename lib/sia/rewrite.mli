@@ -64,17 +64,16 @@ val target_pred :
     predicate {!rewrite_for_columns} would hand to synthesis. *)
 
 (** Hot-state handle for long-running processes (the [sia serve]
-    daemon): catalog, config, and the solver's sharing/paranoid modes
-    are fixed once at creation instead of re-derived per call, and the
-    process-global solver hot state — memo cache, shared-context
-    clusters, learnt clauses — stays deliberately resident between
-    requests. The handle additionally accumulates per-request solver
-    deltas for serving-side statistics. *)
+    daemon): catalog, config, and the solver's paranoid mode are fixed
+    once at creation instead of re-derived per call, and the
+    process-global solver hot state — memo cache, model pool — stays
+    deliberately resident between requests. The handle additionally
+    accumulates per-request solver deltas for serving-side statistics. *)
 module Hot : sig
   type t
 
   val create : ?cfg:Config.t -> Sia_relalg.Schema.catalog -> t
-  (** Build a handle. Applies [cfg]'s paranoid/sharing/trace switches to
+  (** Build a handle. Applies [cfg]'s paranoid/trace switches to
       the process-global solver state once, up front. *)
 
   val config : t -> Config.t

@@ -98,8 +98,9 @@ let hints st =
 
    rung 1 (pool replay): valuations harvested from earlier CEGIS
    iterations of the same query family ([Mpool], keyed by the attempt's
-   (tables, predicate-skeleton) template — the fork-pool shard key, so
-   pool evolution is identical sequential or parallel). No solver call.
+   concrete query, [Synthesize.pool_key_of] — also the fork-pool shard
+   key, so pool evolution is identical sequential or parallel). No
+   solver call.
 
    rung 2 (constant narrowing): pin the base's non-target variables to a
    pooled model's values and enumerate inside that slice — a Polygon-
@@ -110,10 +111,10 @@ let hints st =
    its hint-free verdict can declare the sample space exhausted.
 
    Validation discipline: the ladder runs in every mode — rung choice
-   depends only on pool state, never on trust flags — so all A/B legs see
-   the same samples. What the flags change is checking: a rung-1
-   candidate must strictly evaluate every formula of the current query
-   (the checkable witness), and with [cfg.cegqi] off or [cfg.paranoid] on
+   depends only on pool state, never on paranoid mode — so plain and
+   paranoid runs see the same samples. What paranoid mode changes is
+   checking: a rung-1 candidate must strictly evaluate every formula of
+   the current query (the checkable witness), and under [cfg.paranoid]
    it is additionally re-derived by a fresh certified solve that pins the
    whole valuation; a disagreement raises [Cert.Certificate_error].
    Rung-2/3 samples come out of the solver itself and already carry the
@@ -159,7 +160,7 @@ let strictly_satisfies fs (m : Solver.model) =
   | ok -> ok
   | exception Not_found -> false
 
-let trusts_witness st = st.cfg.Config.cegqi && not st.cfg.Config.paranoid
+let trusts_witness st = not st.cfg.Config.paranoid
 
 (* Certified slow path for a replayed sample: pin the whole valuation and
    re-derive satisfiability with a fresh, cache-bypassing (and, under

@@ -14,7 +14,7 @@
     ({!Sia_smt.Mpool}), then enumeration inside a constant-narrowed slice
     (non-target variables pinned to a pooled model, conflicts remembered
     to prune later pins), then the full solver. The ladder runs in every
-    mode; {!Config.t.cegqi} only selects how fast-path answers are
+    mode; {!Config.t.paranoid} only selects how fast-path answers are
     checked (trusted checkable witness vs certified re-derivation), so
     results are byte-identical across modes. *)
 
@@ -47,9 +47,9 @@ val make_state :
     by [target_cols], RNG seeded from {!Config.t.seed} (same config, same
     samples), solver session created lazily on first use. [pool_key]
     names the attempt's query family for the model pool; it must be a
-    function of the fork-pool shard key ((tables, predicate skeleton) —
-    see [Synthesize.pred_skeleton]) so that pool state evolves
-    identically in sequential and parallel runs. *)
+    function of the fork-pool shard key ((tables, predicate) — see
+    [Synthesize.pool_key_of]) so that pool state evolves identically in
+    sequential and parallel runs. *)
 
 val not_old : gen_state -> Rat.t array list -> Formula.t
 (** Conjunction of "differs from this sample" constraints over the target
@@ -97,7 +97,7 @@ type false_oracle =
 
 val false_oracle : gen_state -> Formula.t -> false_oracle
 (** Backend choice depends only on the formula and the configured QE
-    method — never on trust flags — so all run modes sample
+    method — never on paranoid mode — so all run modes sample
     identically. *)
 
 val gen_false :

@@ -38,53 +38,18 @@ let sample_eq env cols (sample : Rat.t array) =
              Ast.Const (Encode.value_to_const env name sample.(i)) ))
        cols)
 
-(* Query-template skeleton at the AST level: every constant collapses to
-   a placeholder, mirroring the solver's skeleton keys ({!Sia_smt.Key})
-   one layer up. Attempts whose queries differ only in constants get the
-   same skeleton, hence the same worker — which is where the solver's
-   shared-context clusters live, so cluster locality survives the fork
-   boundary. The model pool ([Sia_smt.Mpool]) keys on a *finer* key (the
-   concrete query, see [pool_key_of]), so a pool family never spans
-   shards: all attempts of one family run on one worker, in submission
-   order, making pool evolution identical sequential or parallel. *)
-let pred_skeleton p =
-  let skeleton_const = function
-    (* String members keep their identity: two IN-lists over different
-       literals are different dictionary ranges, not one template. *)
-    | Ast.Cstring _ as c -> c
-    | Ast.Cint _ | Ast.Cfloat _ | Ast.Cdate _ | Ast.Cinterval _ -> Ast.Cint 0
-  in
-  let rec expr = function
-    | Ast.Col _ as e -> e
-    | Ast.Const c -> Ast.Const (skeleton_const c)
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, expr a, expr b)
-    | Ast.Case (arms, els) ->
-      Ast.Case (List.map (fun (c, v) -> (pred c, expr v)) arms, expr els)
-  and pred = function
-    | Ast.Cmp (c, a, b) -> Ast.Cmp (c, expr a, expr b)
-    | Ast.In (e, cs) -> Ast.In (expr e, List.map skeleton_const cs)
-    | Ast.Between (e, lo, hi) -> Ast.Between (expr e, expr lo, expr hi)
-    | Ast.Like (e, pat) -> Ast.Like (expr e, pat)
-    | Ast.IsNull e -> Ast.IsNull (expr e)
-    | Ast.And (a, b) -> Ast.And (pred a, pred b)
-    | Ast.Or (a, b) -> Ast.Or (pred a, pred b)
-    | Ast.Not a -> Ast.Not (pred a)
-    | (Ast.Ptrue | Ast.Pfalse) as p -> p
-  in
-  pred p
-
-(* The model-pool family key of one synthesis attempt: the *concrete*
-   query, rendered — constants included, unlike the shard key above.
-   Sibling attempts of one rewrite (per-table and per-column-subset
-   targets of the same query) share a family and replay each other's
-   models; queries that merely share a template do not. Keying on the
-   skeleton instead makes answers history-dependent across unrelated
-   queries: a template-mate synthesized earlier in the process seeds the
-   pool, the replayed (valid) samples land in a different order, and the
-   learned conjuncts come out reordered — which breaks the golden tests
-   and every byte-diff harness. Concrete keys confine replay to the one
-   query whose attempts already run back-to-back on one worker (the
-   shard key is coarser), so sequential and parallel evolution agree. *)
+(* The model-pool family key of one synthesis attempt: the concrete
+   query, rendered. Sibling attempts of one rewrite (per-table and
+   per-column-subset targets of the same query) share a family and
+   replay each other's models; queries that merely share a template do
+   not. Keying on a template instead makes answers history-dependent
+   across unrelated queries: a template-mate synthesized earlier in the
+   process seeds the pool, the replayed (valid) samples land in a
+   different order, and the learned conjuncts come out reordered — which
+   breaks the golden tests and every byte-diff harness. Batch sharding
+   groups attempts by the same (from, pred) pair, so a family's attempts
+   run back-to-back on one worker and sequential and parallel evolution
+   agree. *)
 let pool_key_of ~from ~pred =
   Printf.sprintf "%s|%s" (String.concat "," from)
     (Sia_sql.Printer.string_of_pred pred)
@@ -94,7 +59,6 @@ let synthesize ?(cfg = Config.default) catalog ~from ~pred ~target_cols =
      solver verdict below (Samples, Tighten, Verify, prune_redundant) is
      audited as it is produced. *)
   if cfg.Config.paranoid then Sia_check.Check.enable ();
-  Solver.set_sharing cfg.Config.share;
   (* Tracing is a global sink; enabling is idempotent, so each attempt in
      a batch can ask without fighting over the switch. *)
   if cfg.Config.trace then Trace.enable ();
@@ -434,13 +398,13 @@ type batch = {
   worker_solver : Solver.stats list;
 }
 
-(* Shard assignment and effective worker count for a batch. Tasks whose
-   queries share a template land on one worker (see [pred_skeleton]);
-   since same-(from, pred) attempts share a template a fortiori, each
-   worker's memo cache still sees exactly the query sequence the
-   sequential run would have fed it. The effective job count is capped by
-   the group count (idle forks are pure overhead) and by the detected
-   online cores (over-forking a small box was measured at 0.86x). *)
+(* Shard assignment and effective worker count for a batch. Attempts on
+   the same query — one model-pool family, see [pool_key_of] — land on
+   one worker in submission order, so each worker's memo cache and pool
+   see exactly the query sequence the sequential run would have fed
+   them. The effective job count is capped by the group count (idle
+   forks are pure overhead) and by the detected online cores
+   (over-forking a small box was measured at 0.86x). *)
 let plan_shards ~requested attempts keys =
   let groups = Hashtbl.create 16 in
   let group_of =
@@ -471,7 +435,7 @@ let synthesize_batch ?(cfg = Config.default) catalog attempts =
   in
   let requested = cfg.Config.jobs in
   let group_of, jobs =
-    plan_shards ~requested attempts (fun a -> (a.from, pred_skeleton a.pred))
+    plan_shards ~requested attempts (fun a -> (a.from, a.pred))
   in
   if jobs <= 1 then begin
     let solver0 = Solver.stats () in
@@ -508,7 +472,6 @@ let synthesize_batch ?(cfg = Config.default) catalog attempts =
             [
               ("queries", float_of_int s.Solver.queries);
               ("cache_hits", float_of_int s.Solver.cache_hits);
-              ("shared_hits", float_of_int s.Solver.shared_hits);
               ("theory_rounds", float_of_int s.Solver.theory_rounds);
               ("pivots", float_of_int s.Solver.pivots);
             ])

@@ -63,12 +63,6 @@ type attempt = {
 }
 (** One synthesis task, mirroring {!synthesize}'s labelled arguments. *)
 
-val pred_skeleton : Sia_sql.Ast.pred -> Sia_sql.Ast.pred
-(** The predicate with every constant collapsed to a placeholder — the
-    AST-level counterpart of the solver's skeleton keys. Batch sharding
-    groups attempts by [(from, pred_skeleton pred)] so constant-variant
-    queries keep their shared-context clusters on one worker. *)
-
 val plan_shards :
   requested:int -> 'a list -> ('a -> 'b) -> int array * int
 (** [plan_shards ~requested tasks key] numbers each task's shard group

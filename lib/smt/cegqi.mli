@@ -10,8 +10,8 @@
     universal check or the existential side becomes unsatisfiable.
 
     Certificate story: both directions reduce to plain {!Solver.solve}
-    verdicts — memoized, cluster-aware and audited under paranoid mode —
-    so the final Unsat proof (for {!Unsat_ea}) and each model (for
+    verdicts — memoized and audited under paranoid mode — so the final
+    Unsat proof (for {!Unsat_ea}) and each model (for
     {!Witness}) carry the same certificates as any direct solve. The
     instantiation count is reported through
     {!Solver.note_cegqi_instantiation}. *)

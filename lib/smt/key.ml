@@ -1,5 +1,3 @@
-open Sia_numeric
-
 type canonical = {
   id : Formula.t * bool list * int * int;
   fwd : (int, int) Hashtbl.t; (* original var -> canonical var *)
@@ -9,7 +7,7 @@ type canonical = {
 (* The one sanctioned hash over a key identity: the formula goes through
    Formula.hash (structural), never the polymorphic hash — formulas
    carry Bigint/Rat values whose physical representation is not a valid
-   hashing identity. Shared by the memo/cluster tables and trace ids. *)
+   hashing identity. Shared by the memo table and trace ids. *)
 let id_hash (f, bits, max_rounds, node_limit) =
   Hashtbl.hash (Formula.hash f, bits, max_rounds, node_limit)
 
@@ -31,70 +29,3 @@ let canonical ~is_int ~max_rounds ~node_limit f =
   let kf = Formula.map_vars (Hashtbl.find fwd) f in
   let bits = Array.to_list (Array.map is_int back) in
   { id = (kf, bits, max_rounds, node_limit); fwd; back }
-
-type skeleton = {
-  sf : Formula.t;
-  sbits : bool list;
-  s_max_rounds : int;
-  s_node_limit : int;
-  n_vars : int;
-  holes : Rat.t array;
-}
-
-(* Replace each linear atom's non-zero constant by a fresh hole variable.
-   The atom constructors re-canonicalize, so the hole survives with
-   coefficient +1 for Le/Lt (positive scaling only; the atom's integer
-   form has gcd 1 over coefficients and constant, and the hole's
-   coefficient 1 keeps that gcd) and +/-1 for Eq (sign convention may
-   flip — harmless, hole = c is symmetric). The per-atom roundtrip check
-   [subst hole c = original] is the soundness guard: it proves that
-   asserting the hole equality gives back exactly the member's atom, so
-   skeleton /\ holes is equisatisfiable with the member formula. *)
-let skeletonize (k : canonical) =
-  let kf, bits, max_rounds, node_limit = k.id in
-  let n_vars = Array.length k.back in
-  let holes = ref [] in
-  let n_holes = ref 0 in
-  let ok = ref true in
-  let abstract a =
-    match a with
-    | Atom.Dvd _ -> Formula.atom a
-    | Atom.Lin (rel, e) ->
-      let c = Linexpr.constant e in
-      if Rat.sign c = 0 then Formula.atom a
-      else begin
-        let h = n_vars + !n_holes in
-        incr n_holes;
-        holes := c :: !holes;
-        let e' = Linexpr.add (Linexpr.set_constant e Rat.zero) (Linexpr.var h) in
-        let a' =
-          match rel with
-          | Atom.Le -> Atom.mk_le e' Linexpr.zero
-          | Atom.Lt -> Atom.mk_lt e' Linexpr.zero
-          | Atom.Eq -> Atom.mk_eq e' Linexpr.zero
-        in
-        if not (Atom.equal (Atom.subst a' h (Linexpr.const c)) a) then
-          ok := false;
-        Formula.atom a'
-      end
-  in
-  let sf = Formula.map_atoms abstract kf in
-  if (not !ok) || !n_holes = 0 then None
-  else
-    Some
-      {
-        sf;
-        sbits = bits;
-        s_max_rounds = max_rounds;
-        s_node_limit = node_limit;
-        n_vars;
-        holes = Array.of_list (List.rev !holes);
-      }
-
-let skeleton_id sk = (sk.sf, sk.sbits, sk.s_max_rounds, sk.s_node_limit)
-
-let member_formula sk =
-  Formula.and_
-    (List.init (Array.length sk.holes) (fun i ->
-         Formula.atom
-           (Atom.mk_eq (Linexpr.var (sk.n_vars + i)) (Linexpr.const sk.holes.(i)))))

@@ -1,4 +1,4 @@
-(** Canonical and skeleton keys for solver queries.
+(** Canonical keys for solver queries.
 
     A {e canonical key} identifies a query up to variable naming: the
     formula is canonicalized ({!Formula.canon}), its variables are
@@ -6,16 +6,7 @@
     integrality bits plus the resource limits join the key. Two calls
     that would run the identical search map to the identical key, which
     is what lets the memo cache and the parallel pool treat a hit as a
-    recompute.
-
-    A {e skeleton key} abstracts one step further: every non-zero
-    constant of a linear atom is replaced by a fresh {e hole} variable,
-    so queries that differ only in constants share a skeleton. The
-    solver clusters same-skeleton queries into one persistent SAT/theory
-    session and instantiates each member by asserting hole = constant
-    equalities under an activation literal (see {!Solver}). *)
-
-open Sia_numeric
+    recompute. *)
 
 type canonical = {
   id : Formula.t * bool list * int * int;
@@ -26,45 +17,13 @@ type canonical = {
 }
 
 val id_hash : Formula.t * bool list * int * int -> int
-(** Hash of a key identity ({!canonical} [id] or {!skeleton_id}),
-    routing the formula through the structural {!Formula.hash}. Always
-    use this instead of the polymorphic [Hashtbl.hash]: formulas carry
-    numeric values whose physical representation is not canonical. *)
+(** Hash of a key identity ({!canonical} [id]), routing the formula
+    through the structural {!Formula.hash}. Always use this instead of
+    the polymorphic [Hashtbl.hash]: formulas carry numeric values whose
+    physical representation is not canonical. *)
 
 val canonical :
   is_int:(int -> bool) -> max_rounds:int -> node_limit:int -> Formula.t -> canonical
 (** Build the canonical key of a formula (expected in NNF). Stable
     across processes and runs: depends only on the formula's structure
     and the two limits. *)
-
-type skeleton = {
-  sf : Formula.t;
-      (** Canonical formula with each linear atom's non-zero constant
-          replaced by a hole variable with coefficient [+1] (or [-1]
-          when [Eq] sign canonicalization flips the atom). Hole [i] is
-          variable [n_vars + i]; holes are numbered per atom occurrence
-          in traversal order. Divisibility atoms keep their constants —
-          they are sensitive to the constant modulo the divisor, so
-          abstracting them would not be constant-generalizable. *)
-  sbits : bool list;  (** integrality bits of the [n_vars] canonical vars;
-                          holes are rational (pinned by equalities) *)
-  s_max_rounds : int;
-  s_node_limit : int;
-  n_vars : int;  (** canonical variable count; holes start here *)
-  holes : Rat.t array;  (** this member's constants, [holes.(i)] for hole [i] *)
-}
-
-val skeletonize : canonical -> skeleton option
-(** Abstract a canonical key to its skeleton. Returns [None] when the
-    formula has no abstractable constant (nothing to share) or when any
-    atom fails the roundtrip check [subst hole constant = original] —
-    the soundness guard that the instantiated skeleton is literally the
-    member formula again. *)
-
-val skeleton_id : skeleton -> Formula.t * bool list * int * int
-(** Cluster-table identity: two members of the same cluster have equal
-    [skeleton_id]s and differ only in [holes]. *)
-
-val member_formula : skeleton -> Formula.t
-(** The conjunction of [hole = constant] equalities instantiating this
-    member, over hole variables [n_vars .. n_vars + |holes| - 1]. *)

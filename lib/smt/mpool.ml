@@ -7,17 +7,17 @@ open Sia_numeric
    encoding environment, while column names are stable across every
    attempt of a query family, so a model harvested by one CEGIS attempt
    replays in a sibling attempt without any canonical-translation
-   machinery. The caller supplies the family key; Samples keys by
-   (tables, predicate skeleton) — the exact key the fork-pool sharding
-   groups by, so same-family attempts always run on one worker and the
-   pool's evolution is identical sequential or parallel.
+   machinery. The caller supplies the family key; Samples keys by the
+   concrete query (tables, predicate) — the exact key the fork-pool
+   sharding groups by, so same-family attempts always run on one worker
+   and the pool's evolution is identical sequential or parallel.
 
    The pool is a cache of *candidates*, never of answers: every replayed
    valuation is re-validated against the full current query (strict
-   evaluation, or a certified re-derivation under SIA_CEGQI=0 /
-   SIA_PARANOID) before it is returned as a sample. Dropping the pool can
-   therefore only change cost, not results of the validation discipline —
-   it is flushed by {!Solver.reset_caches} like every other cache. *)
+   evaluation, plus a certified re-derivation under SIA_PARANOID) before
+   it is returned as a sample. Dropping the pool can therefore only
+   change cost, not results of the validation discipline — it is flushed
+   by {!Solver.reset_caches} like every other cache. *)
 
 type valuation = (string * Rat.t) array
 

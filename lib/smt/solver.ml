@@ -50,10 +50,8 @@ type stats = {
   tableau_rebuilds : int;
   reused_rounds : int;
   extended_rounds : int;
-  clusters : int;
   shared_hits : int;
   shared_misses : int;
-  shared_lemmas : int;
   pool_hits : int;
   underapprox_solves : int;
   gen_fallbacks : int;
@@ -85,10 +83,8 @@ let stats_zero =
     tableau_rebuilds = 0;
     reused_rounds = 0;
     extended_rounds = 0;
-    clusters = 0;
     shared_hits = 0;
     shared_misses = 0;
-    shared_lemmas = 0;
     pool_hits = 0;
     underapprox_solves = 0;
     gen_fallbacks = 0;
@@ -124,10 +120,8 @@ let stats_add a b =
     tableau_rebuilds = a.tableau_rebuilds + b.tableau_rebuilds;
     reused_rounds = a.reused_rounds + b.reused_rounds;
     extended_rounds = a.extended_rounds + b.extended_rounds;
-    clusters = a.clusters + b.clusters;
     shared_hits = a.shared_hits + b.shared_hits;
     shared_misses = a.shared_misses + b.shared_misses;
-    shared_lemmas = a.shared_lemmas + b.shared_lemmas;
     pool_hits = a.pool_hits + b.pool_hits;
     underapprox_solves = a.underapprox_solves + b.underapprox_solves;
     gen_fallbacks = a.gen_fallbacks + b.gen_fallbacks;
@@ -166,10 +160,8 @@ let stats_since s0 =
     tableau_rebuilds = s.tableau_rebuilds - s0.tableau_rebuilds;
     reused_rounds = s.reused_rounds - s0.reused_rounds;
     extended_rounds = s.extended_rounds - s0.extended_rounds;
-    clusters = s.clusters - s0.clusters;
     shared_hits = s.shared_hits - s0.shared_hits;
     shared_misses = s.shared_misses - s0.shared_misses;
-    shared_lemmas = s.shared_lemmas - s0.shared_lemmas;
     pool_hits = s.pool_hits - s0.pool_hits;
     underapprox_solves = s.underapprox_solves - s0.underapprox_solves;
     gen_fallbacks = s.gen_fallbacks - s0.gen_fallbacks;
@@ -187,17 +179,15 @@ let stats_since s0 =
 let pp_stats fmt s =
   Format.fprintf fmt
     "queries=%d (sat=%d unsat=%d unknown=%d cached=%d) encodings=%d \
-     instances=%d theory-rounds=%d (reused=%d extended=%d rebuilds=%d) clusters=%d \
-     shared=%d/%d (lemmas=%d) pool=%d underapprox=%d fallbacks=%d cegqi=%d \
+     instances=%d theory-rounds=%d (reused=%d extended=%d rebuilds=%d) \
+     pool=%d underapprox=%d fallbacks=%d cegqi=%d \
      conflicts=%d propagations=%d restarts=%d \
      pivots=%d encode=%.3fs search=%.3fs (theory=%.3fs) certs=%d/%d/%d \
      rejected=%d cert=%.3fs"
     s.queries s.sat_answers s.unsat_answers s.unknown_answers s.cache_hits
     s.encodings s.instances s.theory_rounds s.reused_rounds s.extended_rounds
-    s.tableau_rebuilds
-    s.clusters s.shared_hits s.shared_misses s.shared_lemmas s.pool_hits
-    s.underapprox_solves s.gen_fallbacks s.cegqi_instantiations s.conflicts
-    s.propagations s.restarts s.pivots s.encode_time s.search_time
+    s.tableau_rebuilds s.pool_hits s.underapprox_solves s.gen_fallbacks
+    s.cegqi_instantiations s.conflicts s.propagations s.restarts s.pivots s.encode_time s.search_time
     s.theory_time s.cert_lemmas s.cert_proofs s.cert_models s.cert_rejections
     s.cert_time
 
@@ -401,11 +391,6 @@ let atom_var inst a =
 let default_max_rounds = 50_000
 let default_node_limit = 4000 (* Theory.check_cert's default *)
 
-(* Theory lemmas (blocking clauses) learned so far, process-wide; the
-   shared-context layer samples deltas around cluster runs to attribute
-   lemmas to shared sessions. *)
-let theory_lemma_count = ref 0
-
 (* One DPLL(T) run on the current clause set, optionally under assumption
    literals. [check] lists extra formulas (beyond [inst.formula]) that the
    caller asserted via assumptions: their variables join the model padding
@@ -420,28 +405,11 @@ let theory_lemma_count = ref 0
    their values are free as far as this query's formulas are concerned.
    Soundness is unchanged: the encoding is monotone NNF, so root truth
    only rests on the checked atoms, and the model is still validated
-   against the full formulas below.
-
-   The shared-context cluster layer reinterprets an instance's atom
-   variables per run: [theory_atoms] may map a variable to a *different*
-   atom than the one encoded (the skeleton atom with its hole replaced by
-   this member's constant), so theory conflicts — and the blocking
-   clauses built from them — are resolved through that per-run mapping,
-   never through [inst.atom_tbl]. Two per-run hooks support the reuse:
-
-   - [model_formula] replaces [inst.formula] for final model validation
-     (the instance encodes the skeleton, but a Sat model must satisfy the
-     member's instantiated formula);
-   - [lemma_guard], when present, receives each theory conflict core as
-     [(atom_var, polarity)] pairs and returns a fresh guard variable; the
-     blocking clause is emitted as [¬guard ∨ clause] and the guard is
-     assumed for the rest of this run only. Clauses learnt by the SAT
-     core from guarded clauses keep their [¬guard] literals (guards are
-     never resolvable), so everything a run learns stays vacuous for
-     members that do not re-validate and re-assume the guard. *)
+   against the full formulas below. The restricted atoms are a subset of
+   the instance's own, so theory conflicts resolve back to SAT variables
+   through [inst.atom_tbl]. *)
 let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
-    ?(check = []) ?fvars ?theory_atoms ?model_formula ?lemma_guard ~is_int inst
-    =
+    ?(check = []) ?fvars ?theory_atoms ~is_int inst =
   if Trace.enabled () then
     Trace.begin_span "smt.solve"
       ~args:
@@ -469,24 +437,9 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
         (List.rev_append (List.concat_map Formula.vars check) inst.fvars)
   in
   let atoms = match theory_atoms with Some l -> l | None -> inst.atoms in
-  (* Conflict cores come back as atoms; resolve them to SAT variables
-     through the same per-run mapping the theory literals were built
-     from — under a cluster consult the effective atoms are not the
-     encoded ones. *)
-  let var_of_atom =
-    match theory_atoms with
-    | None -> fun a -> AtomTbl.find inst.atom_tbl a
-    | Some l ->
-      let tbl = AtomTbl.create (2 * List.length l) in
-      List.iter (fun (a, v) -> AtomTbl.replace tbl a v) l;
-      fun a -> AtomTbl.find tbl a
-  in
-  (* Guard literals created by [lemma_guard] mid-run; assumed alongside
-     the caller's assumptions for the remainder of this run. *)
-  let guard_assumptions = ref [] in
   (* The theory session lives on the instance and is shared across runs:
      consecutive theory rounds — and consecutive runs of a long-lived
-     session or cluster — share the incremental tableau, diffing each
+     session — share the incremental tableau, diffing each
      round's literal set against the previous one. The session's witness
      range starts above every atom variable of the instance (a superset
      of any run's [atoms]); when a later query encodes an atom whose
@@ -510,10 +463,7 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
     if round > max_rounds then Unknown
     else if
       not
-        (Trace.span "sat.search" (fun () ->
-             Sat.solve
-               ~assumptions:(List.rev_append !guard_assumptions assumptions)
-               inst.sat))
+        (Trace.span "sat.search" (fun () -> Sat.solve ~assumptions inst.sat))
     then Unsat
     else begin
       (* Theory literals from the boolean model: positive Lin atoms, and
@@ -578,11 +528,7 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
            model that misses one of their variables is exactly the bug the
            strict lookup exists to expose. *)
         let lookup = model_value_strict m in
-        let vformulas =
-          match model_formula with
-          | Some f -> f :: check
-          | None -> inst.formula :: check
-        in
+        let vformulas = inst.formula :: check in
         (match inst.aud with
          | Some a ->
            (* Paranoid: the independent evaluator replaces the inline
@@ -608,19 +554,11 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
         let blocking =
           List.map
             (fun (a, polarity) ->
-              let v = var_of_atom a in
+              let v = AtomTbl.find inst.atom_tbl a in
               if polarity then Sat.neg_lit v else Sat.pos v)
             core
         in
-        (match lemma_guard with
-         | None -> Sat.add_clause inst.sat blocking
-         | Some guard ->
-           let g =
-             guard (List.map (fun (a, p) -> (var_of_atom a, p)) core)
-           in
-           guard_assumptions := Sat.pos g :: !guard_assumptions;
-           Sat.add_clause inst.sat (Sat.neg_lit g :: blocking));
-        incr theory_lemma_count;
+        Sat.add_clause inst.sat blocking;
         loop (round + 1)
     end
   in
@@ -700,9 +638,7 @@ let memo : result Memo.t = Memo.create 1024
    thousand distinct formulas). *)
 let memo_limit = 16_384
 
-(* Canonical-key construction lives in {!Key}, shared with the skeleton
-   clustering below — both must agree on the alpha-renaming for cluster
-   answers to be storable under memo keys. *)
+(* Canonical-key construction lives in {!Key}. *)
 let memo_key = Key.canonical
 
 let memo_find (k : Key.canonical) =
@@ -736,297 +672,6 @@ let memo_store (k : Key.canonical) r =
 
 module FTbl = Hashtbl.Make (Formula)
 
-(* ------------------------------------------------------------------ *)
-(* Shared-context clusters                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Cross-query sharing, the batched-solving idea of the shared-context
-   SAT literature: the CEGIS workload asks thousands of queries that are
-   the same formula up to constants (threshold probes over a handful of
-   predicate shapes), so the propositional structure, the SAT core's
-   learnt clauses, and the Farkas combinations behind theory conflicts
-   proved while refuting one of them are mostly reusable for its
-   skeleton-mates. Each skeleton (see {!Key.skeletonize}) owns one
-   persistent SAT instance encoding the constant-abstracted formula —
-   every member shares that boolean structure verbatim, so CDCL learning
-   accumulates across the batch.
-
-   Theory reasoning, by contrast, is always done in the consulting
-   member's own concrete space: for each run the instance's atom
-   variables are reinterpreted as the skeleton atoms with this member's
-   constants substituted for the holes, so a theory check costs what a
-   fresh solve's would (constants stay constants; the tableau never
-   grows extra hole columns). The bridge between members is per-lemma
-   and certificate-shaped: each theory conflict's blocking clause is
-   guarded by a fresh literal and its core is remembered over the
-   symbolic skeleton atoms; a later member re-instantiates the core with
-   its own constants and asks the theory to re-refute it (replaying the
-   constant-independent Farkas combination as a bounded check, audited
-   under paranoid mode like any other lemma) before assuming the guard.
-   Guards are plain assumption literals, never resolvable, so clauses
-   the SAT core learns downstream of a guarded clause inherit the guard
-   and stay vacuous for members whose replay fails — the soundness
-   filter that lets one clause database serve every member.
-
-   Answer transfer is deliberately one-sided. An Unsat under the
-   member's concrete atoms, its encoding clauses, and lemmas re-proved
-   for its constants is exactly what a fresh solve concludes. A Sat or
-   Unknown cluster verdict is discarded and the member re-solved fresh:
-   a warm instance's model or budget artifact could differ bit-for-bit
-   from the fresh answer, and hit ≡ recompute is what the memo cache and
-   the parallel pool rely on. Consultation is further gated by the
-   cluster's last fresh verdict ([last_unsat]): Unsat streaks — exactly
-   the threshold-probe pattern that dominates the workload — pay one
-   warm check (propositional once the lemma set covers the streak)
-   instead of a cold solve, while Sat streaks skip the cluster entirely
-   instead of paying twice. *)
-module Shared = struct
-  let enabled_flag =
-    ref
-      (match Sys.getenv_opt "SIA_SHARE" with
-       | Some ("0" | "false" | "no" | "off") -> false
-       | Some _ | None -> true)
-
-  module CTbl = Hashtbl.Make (struct
-    type t = Formula.t * bool list * int * int
-
-    let equal (f1, b1, r1, n1) (f2, b2, r2, n2) =
-      r1 = r2 && n1 = n2 && b1 = b2 && Formula.equal f1 f2
-
-    let hash = Key.id_hash
-  end)
-
-  (* A shared lemma: a theory conflict core learnt while solving one
-     member, stored over the *skeleton* atoms (holes still symbolic) with
-     the guard variable protecting its clause in the shared SAT instance.
-     For a new member the core is re-instantiated with that member's
-     constants and re-proved by the theory — the Farkas combination that
-     refuted it is constant-independent, so the replay is a small
-     bounded check, not a search — and only then is the guard assumed. *)
-  type lemma = { score : (Atom.t * bool) list; guard : int }
-
-  type csession = {
-    c_inst : instance; (* encodes the skeleton formula, holes symbolic *)
-    c_is_int : int -> bool;
-    c_base_atoms : (Atom.t * int) list;
-    c_atom_of_var : (int, Atom.t) Hashtbl.t; (* skeleton atom by SAT var *)
-    mutable c_lemmas : lemma list; (* newest first *)
-    mutable c_n_lemmas : int;
-  }
-
-  type cluster = {
-    sk : Key.skeleton; (* representative; members differ in [holes] only *)
-    mutable sess : csession option; (* created on first consultation *)
-    mutable last_unsat : bool; (* last fresh same-skeleton verdict *)
-  }
-
-  type ticket = cluster option
-
-  let clusters : cluster CTbl.t = CTbl.create 64
-
-  (* Wholesale reset on overflow, like the memo cache; a lemma cap stops
-     the shared clause database from growing past usefulness (beyond it,
-     new conflicts still get throwaway guards, they are just no longer
-     replayed for later members). *)
-  let cluster_limit = 2_048
-  let lemma_limit = 256
-  let reset () = CTbl.reset clusters
-
-  (* Hole variables are rational: they are pinned to integer constants by
-     the member equalities, so branch and bound never needs to round
-     them, and keeping them out of the integer layer avoids spurious
-     Unknowns. *)
-  let is_int_of sk =
-    let bits = Array.of_list sk.Key.sbits in
-    fun v -> v < Array.length bits && bits.(v)
-
-  let session_of c =
-    match c.sess with
-    | Some s -> s
-    | None ->
-      let inst = make_instance c.sk.Key.sf in
-      let atom_of_var = Hashtbl.create 64 in
-      List.iter (fun (a, v) -> Hashtbl.replace atom_of_var v a) inst.atoms;
-      let cs =
-        {
-          c_inst = inst;
-          c_is_int = is_int_of c.sk;
-          c_base_atoms = inst.atoms;
-          c_atom_of_var = atom_of_var;
-          c_lemmas = [];
-          c_n_lemmas = 0;
-        }
-      in
-      c.sess <- Some cs;
-      totals := { !totals with clusters = !totals.clusters + 1 };
-      cs
-
-  (* Replace a skeleton atom's hole variables by this member's constants.
-     The variable list is computed before the first substitution, so
-     later substitutions cannot hide holes from the walk. *)
-  let instantiate n_vars holes a =
-    List.fold_left
-      (fun a v ->
-        if v >= n_vars then
-          Atom.subst a v (Linexpr.const holes.(v - n_vars))
-        else a)
-      a (Atom.vars a)
-
-  (* Try to answer a canonical query from its cluster. Returns the
-     cluster ticket (for [observe]) and [Some Unsat] on a transferable
-     verdict. The caller counted the query already; the cluster run's
-     search cost lands in the usual counters.
-
-     The consult run solves in *concrete* space: the shared instance's
-     atom variables are reinterpreted as this member's instantiated
-     atoms, so each theory check costs what a fresh solve's would — while
-     the propositional structure, the SAT core's learnt clauses, and
-     every guarded lemma whose replay succeeds carry over from earlier
-     members. After a warm-up member, an Unsat streak over one skeleton
-     is decided propositionally, with no theory rounds at all. Only
-     Unsat transfers: it is a consequence of the member's own clauses
-     plus lemmas re-proved for the member's constants, so it coincides
-     with what a fresh solve concludes; Sat models and Unknowns are
-     discarded and re-derived fresh, keeping observable answers
-     bit-identical to sharing-off runs. *)
-  let consult (k : Key.canonical) : ticket * result option =
-    if not !enabled_flag then (None, None)
-    else
-      match Key.skeletonize k with
-      | None -> (None, None)
-      | Some sk -> (
-        let ck = Key.skeleton_id sk in
-        let c =
-          match CTbl.find_opt clusters ck with
-          | Some c -> c
-          | None ->
-            if CTbl.length clusters >= cluster_limit then CTbl.reset clusters;
-            let c = { sk; sess = None; last_unsat = false } in
-            CTbl.add clusters ck c;
-            c
-        in
-        if not c.last_unsat then (Some c, None)
-        else
-          match
-            let cs = session_of c in
-            let n_vars = sk.Key.n_vars and holes = sk.Key.holes in
-            let inst_atom a = instantiate n_vars holes a in
-            let atoms =
-              List.map (fun (a, v) -> (inst_atom a, v)) cs.c_base_atoms
-            in
-            (* Two skeleton atoms can collapse onto one concrete atom when
-               a member repeats a constant; the atom -> variable mapping
-               would then be ambiguous. Rare: skip the consult. *)
-            let seen = AtomTbl.create 64 in
-            let collision =
-              List.exists
-                (fun (a, _) ->
-                  AtomTbl.mem seen a
-                  ||
-                  (AtomTbl.add seen a ();
-                   false))
-                atoms
-            in
-            if collision then None
-            else begin
-              let is_int = cs.c_is_int in
-              (* Farkas replay: a stored lemma is valid for this member
-                 iff its re-instantiated core is still theory-infeasible.
-                 Under paranoid auditing the replay's certificate goes
-                 through the same independent checker as any other lemma,
-                 so a guard is never assumed on an unaudited proof. *)
-              let live =
-                List.filter_map
-                  (fun { score; guard } ->
-                    let core =
-                      List.map (fun (a, p) -> (inst_atom a, p)) score
-                    in
-                    match
-                      Theory.check_cert ~is_int
-                        ~node_limit:sk.Key.s_node_limit core
-                    with
-                    | Theory.Unsat _, cert ->
-                      (match cs.c_inst.aud with
-                       | Some a ->
-                         let cert =
-                           match cert with
-                           | Some cert -> cert
-                           | None ->
-                             raise
-                               (Cert.Certificate_error
-                                  "shared lemma replay without certificate")
-                         in
-                         audited `Lemma (fun () -> a.on_lemma ~is_int core cert)
-                       | None -> ());
-                      Some (Sat.pos guard)
-                    | (Theory.Sat _ | Theory.Unknown), _ -> None)
-                  cs.c_lemmas
-              in
-              let lemma_guard core_vars =
-                let g = Sat.new_var cs.c_inst.sat in
-                (if cs.c_n_lemmas < lemma_limit then
-                   match
-                     List.map
-                       (fun (v, p) -> (Hashtbl.find cs.c_atom_of_var v, p))
-                       core_vars
-                   with
-                   | score ->
-                     cs.c_lemmas <- { score; guard = g } :: cs.c_lemmas;
-                     cs.c_n_lemmas <- cs.c_n_lemmas + 1
-                   | exception Not_found -> ());
-                g
-              in
-              let kf, _, _, _ = k.Key.id in
-              let lemmas0 = !theory_lemma_count in
-              let r =
-                run_instance ~max_rounds:sk.Key.s_max_rounds
-                  ~node_limit:sk.Key.s_node_limit ~assumptions:live
-                  ~theory_atoms:atoms ~model_formula:kf ~lemma_guard
-                  ~is_int cs.c_inst
-              in
-              totals :=
-                {
-                  !totals with
-                  shared_lemmas =
-                    !totals.shared_lemmas + (!theory_lemma_count - lemmas0);
-                };
-              match r with
-              | Unsat ->
-                totals := { !totals with shared_hits = !totals.shared_hits + 1 };
-                if Trace.enabled () then
-                  Trace.instant "share.hit"
-                    ~args:[ ("key", Trace.Int (Key.id_hash ck)) ];
-                Some Unsat
-              | Sat _ | Unknown ->
-                totals :=
-                  { !totals with shared_misses = !totals.shared_misses + 1 };
-                if Trace.enabled () then
-                  Trace.instant "share.miss"
-                    ~args:[ ("key", Trace.Int (Key.id_hash ck)) ];
-                None
-            end
-          with
-          | r -> (Some c, r)
-          | exception Cert.Certificate_error _ ->
-            (* A certificate failed its audit inside the shared session:
-               retire the session and fall back to fresh solving for this
-               and subsequent members (the rejection was already counted
-               by [audited]). *)
-            c.sess <- None;
-            c.last_unsat <- false;
-            (Some c, None))
-
-  (* Record the fresh verdict of a consulted-or-registered query so the
-     next same-skeleton member knows whether consultation is worthwhile. *)
-  let observe (t : ticket) r =
-    match t with
-    | None -> ()
-    | Some c -> c.last_unsat <- (match r with Unsat -> true | _ -> false)
-end
-
-let set_sharing b = Shared.enabled_flag := b
-let sharing () = !Shared.enabled_flag
-
 (* Downstream layers (the serve-mode rewrite cache) hold derived state
    that must not outlive the solver caches it was computed from; they
    register a flush here rather than the solver depending on them. *)
@@ -1035,7 +680,6 @@ let on_reset_caches f = reset_hooks := f :: !reset_hooks
 
 let reset_caches () =
   Memo.reset memo;
-  Shared.reset ();
   List.iter (fun f -> f ()) !reset_hooks
 
 let solve ?(max_rounds = default_max_rounds) ~is_int f =
@@ -1058,15 +702,9 @@ let solve ?(max_rounds = default_max_rounds) ~is_int f =
       if Trace.enabled () then
         Trace.instant "memo.miss"
           ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ];
-      match Shared.consult k with
-      | _, Some r ->
-        memo_store k r;
-        count_answer r
-      | ticket, None ->
-        let r = run_instance ~max_rounds ~is_int (make_instance f) in
-        Shared.observe ticket r;
-        memo_store k r;
-        count_answer r))
+      let r = run_instance ~max_rounds ~is_int (make_instance f) in
+      memo_store k r;
+      count_answer r))
 
 (* Unmemoized one-shot solve: in paranoid mode a memo hit replays the
    answer of an earlier (audited) computation without re-auditing, so
@@ -1282,26 +920,15 @@ module Session = struct
            Trace.instant "memo.miss"
              ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ]
          | None -> ());
-      let ticket, shared =
-        match memo_k with
-        | Some k -> Shared.consult k
-        | None -> (None, None)
+      let r =
+        run_instance ~max_rounds ?node_limit
+          ~assumptions:(extra_lits @ p.p_lits)
+          ~check:p.p_check ~fvars:p.p_fvars
+          ~theory_atoms:(relevant_atoms t (extra_atoms @ p.p_atoms))
+          ~is_int:t.is_int t.inst
       in
-      match shared with
-      | Some r ->
-        (match memo_k with Some k -> memo_store k r | None -> ());
-        count_answer r
-      | None ->
-        let r =
-          run_instance ~max_rounds ?node_limit
-            ~assumptions:(extra_lits @ p.p_lits)
-            ~check:p.p_check ~fvars:p.p_fvars
-            ~theory_atoms:(relevant_atoms t (extra_atoms @ p.p_atoms))
-            ~is_int:t.is_int t.inst
-        in
-        Shared.observe ticket r;
-        (match memo_k with Some k -> memo_store k r | None -> ());
-        count_answer r)
+      (match memo_k with Some k -> memo_store k r | None -> ());
+      count_answer r)
 
   let solve_under ?max_rounds ?node_limit ?(assumptions = []) t =
     run_prepped ?max_rounds ?node_limit t (prep t assumptions)

@@ -87,38 +87,11 @@ val set_paranoid : bool -> unit
 
 val paranoid : unit -> bool
 
-(** {2 Shared-context clustering}
-
-    Queries whose canonical formulas coincide up to constants share a
-    {e skeleton} (see {!Key}). Each skeleton owns one persistent SAT
-    instance encoding the constant-abstracted formula, so the boolean
-    structure and the SAT core's learnt clauses accumulate across the
-    batch, while theory checks always run over the consulting member's
-    concrete atoms (holes substituted by its constants). Theory lemmas
-    bridge members through guarded clauses: each conflict core is stored
-    over the symbolic skeleton atoms, and a later member assumes the
-    clause's guard literal only after the theory re-refutes the core
-    under its own constants — a bounded replay of the
-    constant-independent Farkas argument, audited like any other lemma
-    under paranoid mode. Only [Unsat] cluster verdicts are transferred
-    (they are exactly what a fresh solve concludes from the member's own
-    clauses plus member-validated lemmas); [Sat]/[Unknown] consultations
-    fall back to fresh solving so observable answers are bit-identical
-    with sharing on or off. *)
-
-val set_sharing : bool -> unit
-(** Enable/disable cluster consultation (also controlled by the
-    [SIA_SHARE] environment variable at startup; ["0"] disables).
-    {!solve_fresh} always bypasses clusters, like the memo cache. *)
-
-val sharing : unit -> bool
-
 val reset_caches : unit -> unit
-(** Drop the memo cache and all cluster sessions — differential test
-    harnesses use this to compare genuinely cold runs. Also runs every
-    {!on_reset_caches} hook, so derived caches in higher layers (the
-    serve-mode rewrite cache) flush with the state they were computed
-    from. *)
+(** Drop the memo cache — differential test harnesses use this to
+    compare genuinely cold runs. Also runs every {!on_reset_caches} hook,
+    so derived caches in higher layers (the serve-mode rewrite cache)
+    flush with the state they were computed from. *)
 
 val on_reset_caches : (unit -> unit) -> unit
 (** Register a hook to run on every {!reset_caches}. Hooks must not call
@@ -207,10 +180,10 @@ type stats = {
   extended_rounds : int;
       (** theory rounds extending the previous round's sealed bound state
           in place (suffix-only setup, no O(n_base) rescan) *)
-  clusters : int;  (** shared-context cluster sessions materialized *)
-  shared_hits : int;  (** queries answered Unsat by their cluster session *)
-  shared_misses : int;  (** cluster consultations whose verdict was discarded *)
-  shared_lemmas : int;  (** theory lemmas learned inside cluster sessions *)
+  shared_hits : int;
+      (** always 0: the shared-context cluster layer that counted these is
+          gone; the field stays for readers of older stats rows *)
+  shared_misses : int;  (** always 0, like [shared_hits] *)
   pool_hits : int;  (** gen samples replayed from the model pool (no solve) *)
   underapprox_solves : int;  (** constant-narrowed under-approximation queries *)
   gen_fallbacks : int;  (** gen chunks that fell through the ladder to a full solve *)

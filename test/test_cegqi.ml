@@ -1,7 +1,8 @@
 (* Differential tests for the fast sample-generation paths: the CEGQI
    ∃∀ backend must agree with eager elimination (FM over the rationals,
    Cooper over the integers) followed by direct solving; every CEGQI
-   witness must check strictly; pool replay must never surface a sample
+   witness must check strictly; a predicate past the DNF limit still
+   synthesizes, through CEGQI; pool replay must never surface a sample
    the full formula rejects; and under-approximation conflict pins stay
    scoped to the query that discovered them. *)
 
@@ -190,21 +191,58 @@ let test_cegqi_unsat () =
   | Cegqi.Witness _ -> Alcotest.fail "expected Unsat_ea, got a witness"
   | Cegqi.Unknown_ea -> Alcotest.fail "expected Unsat_ea, got Unknown_ea"
 
+(* CEGQI is the only FALSE-sample path once elimination blows up. Thirteen
+   two-way disjunctions put the DNF at 2^13 cubes, past [Formula.dnf]'s
+   4096-cube limit, so projecting l_discount away fails and synthesis
+   must answer through the ∃∀ loop. For integer q, ∃d ∈ [0, 10] satisfying
+   every conjunct exists iff each i with q >= 10+3i has 2i+1 < 10, i.e.
+   i <= 4, i.e. q < 25: the optimal reduction is q <= 24. *)
+let past_dnf_limit_pred =
+  Parser.parse_predicate
+    (String.concat " AND "
+       (List.init 13 (fun i ->
+            Printf.sprintf "(l_quantity < %d OR l_discount > %d)" (10 + (3 * i))
+              ((2 * i) + 1))
+       @ [ "l_discount <= 10"; "l_discount >= 0" ]))
+
+let test_cegqi_past_dnf_limit () =
+  Solver.reset_caches ();
+  let pred = past_dnf_limit_pred in
+  let from = [ "lineitem" ] and target_cols = [ "l_quantity" ] in
+  let env = Encode.build_env Schema.tpch from pred in
+  let st = Samples.make_state Config.default env ~target_cols in
+  Alcotest.(check bool) "eager projection gives up" true
+    (Samples.project_away_others st (Encode.encode_bool env pred) = None);
+  let s0 = Solver.stats () in
+  let r = Synthesize.synthesize Schema.tpch ~from ~pred ~target_cols in
+  let d = Solver.stats_since s0 in
+  (match r.Synthesize.outcome with
+   | Synthesize.Optimal p ->
+     Alcotest.(check string) "optimal reduction" "24 >= l_quantity"
+       (Sia_sql.Printer.string_of_pred p)
+   | _ -> Alcotest.fail "expected an Optimal outcome");
+  Alcotest.(check bool) "answered through CEGQI" true
+    (r.Synthesize.solver.Solver.cegqi_instantiations > 0);
+  Alcotest.(check int) "every certificate accepted" 0 d.Solver.cert_rejections
+
 (* --- Pool replay strict-evaluation soundness --- *)
 
 (* Pollute the model pool with valuations the query rejects (out of range,
    wrong sign) alongside genuine models, then drive gen_models: every
    sample it returns must satisfy the full formula, whatever rung served
-   it, and the poisoned entries must never leak through. *)
-let test_pool_replay_strict_eval () =
+   it, and the poisoned entries must never leak through. Run plain (the
+   strict-evaluation witness alone) and paranoid (every replayed sample
+   also re-derived by a certified solve — the only way that path runs). *)
+let test_pool_replay_strict_eval ~paranoid () =
   Solver.reset_caches ();
   let pred = Parser.parse_predicate "l_quantity > 3 AND l_quantity < 40" in
   let env = Encode.build_env Schema.tpch [ "lineitem" ] pred in
   let base = Encode.encode_bool env pred in
   let key = "test-cegqi-pool" in
   let st =
-    Samples.make_state ~pool_key:key Config.default env
-      ~target_cols:[ "l_quantity" ]
+    Samples.make_state ~pool_key:key
+      { Config.default with Config.paranoid }
+      env ~target_cols:[ "l_quantity" ]
   in
   List.iter
     (fun n -> Mpool.harvest ~key Mpool.True_side [| ("l_quantity", qi n) |])
@@ -225,6 +263,46 @@ let test_pool_replay_strict_eval () =
   let distinct = List.sort_uniq compare (List.map (fun s -> s.(0)) samples) in
   Alcotest.(check int) "samples are distinct"
     (List.length samples) (List.length distinct)
+
+(* --- Trusted witnesses vs certified re-derivation, end to end --- *)
+
+(* Plain mode trusts each fast-path answer's checkable witness; paranoid
+   mode re-derives every one on the certified slow path (pool replays
+   through [Samples.rederives], CEGQI witnesses through
+   [rederives_false]). Checking must never change an answer, so the
+   synthesized SQL is byte-identical across the two modes — including
+   for the predicate that only CEGQI can answer. *)
+let test_sql_identical_across_trust () =
+  let motivating =
+    Parser.parse_predicate
+      "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01' AND \
+       l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10"
+  in
+  let attempts =
+    { Synthesize.from = [ "lineitem" ]; pred = past_dnf_limit_pred;
+      target_cols = [ "l_quantity" ] }
+    :: List.map
+         (fun cols ->
+           { Synthesize.from = [ "lineitem"; "orders" ]; pred = motivating;
+             target_cols = cols })
+         [ [ "l_shipdate" ]; [ "o_orderdate" ]; [ "l_shipdate"; "l_commitdate" ] ]
+  in
+  let run paranoid =
+    Solver.reset_caches ();
+    let cfg = { Config.default with Config.paranoid; jobs = 1 } in
+    List.map
+      (fun st ->
+        match Synthesize.predicate st with
+        | Some p -> Sia_sql.Printer.string_of_pred p
+        | None -> "-")
+      (Synthesize.synthesize_batch ~cfg Schema.tpch attempts).Synthesize.results
+  in
+  let plain = run false in
+  let s0 = Solver.stats () in
+  let paranoid = run true in
+  Alcotest.(check (list string)) "synthesized SQL byte-identical" plain paranoid;
+  Alcotest.(check int) "every certificate accepted" 0
+    (Solver.stats_since s0).Solver.cert_rejections
 
 (* --- Tag-scoped conflict pins --- *)
 
@@ -262,11 +340,20 @@ let () =
         [
           Alcotest.test_case "witness exists" `Quick test_cegqi_witness_exists;
           Alcotest.test_case "unsat ∃∀" `Quick test_cegqi_unsat;
+          Alcotest.test_case "past the DNF limit" `Quick
+            test_cegqi_past_dnf_limit;
+        ] );
+      ( "end-to-end",
+        [
+          Alcotest.test_case "sql byte-identical" `Quick
+            test_sql_identical_across_trust;
         ] );
       ( "ladder",
         [
           Alcotest.test_case "pool replay strict eval" `Quick
-            test_pool_replay_strict_eval;
+            (test_pool_replay_strict_eval ~paranoid:false);
+          Alcotest.test_case "pool replay strict eval (paranoid)" `Quick
+            (test_pool_replay_strict_eval ~paranoid:true);
           Alcotest.test_case "dead pins tag-scoped" `Quick
             test_dead_pins_tag_scoped;
         ] );

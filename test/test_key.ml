@@ -1,9 +1,6 @@
-(* Canonical/skeleton key stability (lib/smt/key.ml). The memo cache, the
-   parallel pool, and the shared-context clusters all assume these keys
-   are a pure function of query structure — alpha-renaming and conjunct
-   order must not split keys, constants must not split skeletons, and
-   instantiating a skeleton's holes must reproduce the canonical formula
-   exactly. *)
+(* Canonical key stability (lib/smt/key.ml). The memo cache and the
+   parallel pool assume these keys are a pure function of query
+   structure — alpha-renaming and conjunct order must not split keys. *)
 
 open Sia_numeric
 module Atom = Sia_smt.Atom
@@ -14,7 +11,6 @@ module Linexpr = Sia_smt.Linexpr
 let q = Rat.of_int
 let le v c = Formula.atom (Atom.mk_le (Linexpr.var v) (Linexpr.const (q c)))
 let ge v c = Formula.atom (Atom.mk_ge (Linexpr.var v) (Linexpr.const (q c)))
-let eq v c = Formula.atom (Atom.mk_eq (Linexpr.var v) (Linexpr.const (q c)))
 
 let diff_le a b c =
   Formula.atom
@@ -69,79 +65,8 @@ let test_back_fwd_roundtrip () =
       Alcotest.(check int) "fwd inverts back" cv (Hashtbl.find k.Key.fwd ov))
     k.Key.back
 
-(* ------------------------------------------------------------------ *)
-(* Skeleton keys                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let skeletonize f =
-  match Key.skeletonize (canon f) with
-  | Some sk -> sk
-  | None -> Alcotest.fail "expected a skeleton"
-
-let test_constant_variants_share_skeleton () =
-  let mk c1 c2 = Formula.and_ [ le 1 c1; ge 2 0; diff_le 1 2 c2 ] in
-  let sk1 = skeletonize (mk 10 5) and sk2 = skeletonize (mk 99 (-3)) in
-  Alcotest.check key_testable "constant variants share a skeleton"
-    (Key.skeleton_id sk1) (Key.skeleton_id sk2);
-  Alcotest.(check bool) "different holes" false (sk1.Key.holes = sk2.Key.holes)
-
-let test_instantiation_roundtrip () =
-  let f =
-    Formula.and_
-      [ le 1 10; ge 2 2; diff_le 1 2 5; Formula.or_ [ eq 1 7; le 2 (-4) ] ]
-  in
-  let k = canon f in
-  let sk = skeletonize f in
-  let kf, _, _, _ = k.Key.id in
-  let instantiated =
-    Array.to_list sk.Key.holes
-    |> List.mapi (fun i c -> (sk.Key.n_vars + i, c))
-    |> List.fold_left
-         (fun g (h, c) -> Formula.subst g h (Linexpr.const c))
-         sk.Key.sf
-  in
-  Alcotest.(check bool) "substituting holes reproduces the canonical formula"
-    true
-    (Formula.equal kf instantiated)
-
-let test_no_constants_no_skeleton () =
-  (* x - y <= 0 has no constant to abstract: nothing to share. *)
-  let f = diff_le 1 2 0 in
-  Alcotest.(check bool) "constant-free formula has no skeleton" true
-    (Key.skeletonize (canon f) = None)
-
-let test_dvd_stays_concrete () =
-  (* Divisibility constants are modular, not order-theoretic: they stay
-     in the skeleton. A formula whose only constants sit in Dvd atoms
-     has no holes, hence no skeleton. *)
-  let dvd =
-    Formula.atom
-      (Atom.mk_dvd (Bigint.of_int 3)
-         (Linexpr.add (Linexpr.var 1) (Linexpr.const (q 2))))
-  in
-  Alcotest.(check bool) "dvd-only constants yield no skeleton" true
-    (Key.skeletonize (canon dvd) = None);
-  let f = Formula.and_ [ dvd; le 1 10 ] in
-  let sk = skeletonize f in
-  Alcotest.(check int) "only the Lin constant became a hole" 1
-    (Array.length sk.Key.holes)
-
-let test_member_formula_shape () =
-  let sk = skeletonize (Formula.and_ [ le 1 10; ge 2 2 ]) in
-  let mf = Key.member_formula sk in
-  (* One equality per hole, each over exactly one hole variable. *)
-  let atoms = Formula.atoms mf in
-  Alcotest.(check int) "one equality per hole" (Array.length sk.Key.holes)
-    (List.length atoms);
-  List.iteri
-    (fun i a ->
-      match Atom.vars a with
-      | [ v ] -> Alcotest.(check int) "hole variable" (sk.Key.n_vars + i) v
-      | _ -> Alcotest.fail "member equality mentions several variables")
-    atoms
-
 (* The pinned key: the canonical form of a concrete formula must never
-   drift silently — a drift would split every memo/cluster key built by
+   drift silently — a drift would split every memo key built by
    an earlier version of the code from its recomputation. *)
 let test_pinned_rendering () =
   let f = Formula.and_ [ ge 7 2; le 3 10 ] in
@@ -166,17 +91,5 @@ let () =
           Alcotest.test_case "limits in key" `Quick test_limits_in_key;
           Alcotest.test_case "back/fwd roundtrip" `Quick test_back_fwd_roundtrip;
           Alcotest.test_case "pinned rendering" `Quick test_pinned_rendering;
-        ] );
-      ( "skeleton",
-        [
-          Alcotest.test_case "constant variants share" `Quick
-            test_constant_variants_share_skeleton;
-          Alcotest.test_case "instantiation roundtrip" `Quick
-            test_instantiation_roundtrip;
-          Alcotest.test_case "no constants, no skeleton" `Quick
-            test_no_constants_no_skeleton;
-          Alcotest.test_case "dvd stays concrete" `Quick test_dvd_stays_concrete;
-          Alcotest.test_case "member formula shape" `Quick
-            test_member_formula_shape;
         ] );
     ]

@@ -2,8 +2,8 @@
    transport around the batch pipeline. Three angles:
 
    - Differential: the 12-query workload driven through a live daemon
-     yields rewritten SQL byte-identical to sequential batch mode, with
-     sharing off, sharing on, and under paranoid auditing. The daemon
+     yields rewritten SQL byte-identical to sequential batch mode, both
+     plain and under paranoid auditing. The daemon
      adds a template cache and hot solver state, neither of which may
      change an answer.
    - Wire robustness: truncated frames, bad magic, oversized length
@@ -94,22 +94,13 @@ let check_differential cfg =
           "attempt %d (query %d, cols %s) diverged:\n\
            batch pred: %s\nserve pred: %s\nbatch sql:  %s\nserve sql:  %s"
           i gq.Qgen.id (String.concat "," cols) bp sp bs ss)
-    (List.combine (List.combine batch served) (Lazy.force tagged));
-  (* Leave the process-global sharing flag as the environment default
-     for whatever test runs next. *)
-  Solver.set_sharing Config.default.Config.share
+    (List.combine (List.combine batch served) (Lazy.force tagged))
 
-let test_differential_share_off () =
-  check_differential
-    { Config.default with Config.share = false; paranoid = false }
-
-let test_differential_share_on () =
-  check_differential
-    { Config.default with Config.share = true; paranoid = false }
+let test_differential_plain () =
+  check_differential { Config.default with Config.paranoid = false }
 
 let test_differential_paranoid () =
-  check_differential
-    { Config.default with Config.share = true; paranoid = true }
+  check_differential { Config.default with Config.paranoid = true }
 
 (* ------------------------------------------------------------------ *)
 (* Wire-protocol robustness                                            *)
@@ -430,10 +421,8 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "share off: serve == batch" `Slow
-            test_differential_share_off;
-          Alcotest.test_case "share on: serve == batch" `Slow
-            test_differential_share_on;
+          Alcotest.test_case "plain: serve == batch" `Slow
+            test_differential_plain;
           Alcotest.test_case "paranoid: serve == batch" `Slow
             test_differential_paranoid;
         ] );
