@@ -27,8 +27,16 @@ val max : t -> t -> t
 val choose_delta : t list -> Rat.t
 (** A concrete positive value for delta small enough that every pairwise
     lexicographic comparison among the given values is preserved when
-    delta is substituted (callers pass all assignments and bounds in
-    play). *)
+    delta is substituted: [a < b] concretizes to a strict [<], [a = b]
+    to [=] (callers pass all assignments and bounds in play).
+
+    Exactly [min 1 m / 2], where [m] is the least
+    [(b.real - a.real) / (a.inf - b.inf)] over the pairs with
+    [a.real < b.real] and [a.inf > b.inf] — the same rational as an
+    all-pairs scan, so models do not depend on the algorithm. Computed
+    by sorting the values into groups by [inf] and one merge sweep per
+    pair of groups: O(k n + n log n) for [n] values with [k] distinct
+    [inf]s, and O(n) when all [inf]s are equal. *)
 
 val apply : Rat.t -> t -> Rat.t
 (** [apply delta0 v] is [v.real + v.inf * delta0]. *)

@@ -499,7 +499,9 @@ let check_cert_session s lits =
          which no pairwise comparison of the input variables' values
          reveals. [in_play] is the simplex's full set of assignments
          (slack rows included) and bounds, exactly what choose_delta
-         needs. *)
+         needs. Concretization and model assembly get their own span, so
+         a trace separates them from the simplex work in [theory.check]. *)
+      Sia_trace.Trace.span "theory.model" @@ fun () ->
       let delta0 = Delta.choose_delta in_play in
       let in_orig = Hashtbl.create 64 in
       List.iter (fun v -> Hashtbl.replace in_orig v ()) orig_vars;

@@ -228,6 +228,17 @@ let test_delta_concretize () =
   let cv = Delta.concretize all v and cy = Delta.concretize all y in
   Alcotest.(check bool) "order preserved" true (Rat.compare cy cv < 0)
 
+let test_delta_choose () =
+  let half = q 1 2 in
+  Alcotest.check rat "empty" half (Delta.choose_delta []);
+  Alcotest.check rat "all-zero infs" half
+    (Delta.choose_delta [ Delta.of_int 3; Delta.of_int (-7); Delta.of_int 3 ]);
+  (* One constraining pair: a = 1 + 2d lies below b = 2 as long as
+     d < (2 - 1) / (2 - 0); every other pair is ordered for any d. *)
+  let a = Delta.make (q 1 1) (q 2 1) and b = Delta.of_int 2 in
+  let all = [ a; b; Delta.make (q 5 1) (q 3 1); Delta.of_int 0 ] in
+  Alcotest.check rat "single pair" (q 1 4) (Delta.choose_delta all)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "numeric"
@@ -267,5 +278,6 @@ let () =
         [
           Alcotest.test_case "compare" `Quick test_delta_compare;
           Alcotest.test_case "concretize" `Quick test_delta_concretize;
+          Alcotest.test_case "choose_delta" `Quick test_delta_choose;
         ] );
     ]

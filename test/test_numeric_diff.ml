@@ -222,6 +222,61 @@ let prop_delta_ops =
         (sign (Delta.compare x y));
       true)
 
+(* [Delta.choose_delta] against the all-pairs definition it must match
+   exactly: half the least (b.real - a.real) / (a.inf - b.inf) over the
+   pairs with a.real < b.real and a.inf > b.inf, capped at 1. *)
+let choose_delta_reference all =
+  let bound = ref Rat.one in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Rat.compare a.Delta.real b.Delta.real < 0 && Rat.compare a.inf b.inf > 0
+          then begin
+            let cand = Rat.div (Rat.sub b.real a.real) (Rat.sub a.inf b.inf) in
+            if Rat.compare cand !bound < 0 then bound := cand
+          end)
+        all)
+    all;
+  Rat.div !bound (Rat.of_int 2)
+
+(* Reals: small integers, fractions, and values past +-2^62 (the Big
+   representation), drawn partly from a per-list pool so that
+   duplicates and equal reals under different infs are common. *)
+let gen_delta_list =
+  let open QCheck.Gen in
+  let two62 = Bigint.of_string "4611686018427387904" in
+  let gen_real =
+    oneof
+      [
+        map Rat.of_int (int_range (-20) 20);
+        map2 Rat.of_ints (int_range (-50) 50) (int_range 1 7);
+        map2
+          (fun s d -> Rat.add (Rat.of_bigint (if s then two62 else Bigint.neg two62)) (Rat.of_int d))
+          bool (int_range (-5) 5);
+        map2
+          (fun n d -> Rat.make (Bigint.add two62 (Bigint.of_int n)) (Bigint.of_int d))
+          (int_range (-5) 5) (int_range 1 5);
+      ]
+  in
+  let gen_inf = oneofl [ Rat.of_int (-2); Rat.minus_one; Rat.of_ints (-1) 2; Rat.zero; Rat.one ] in
+  list_size (int_range 1 8) gen_real >>= fun pool ->
+  list_size (int_range 0 60)
+    (map2 Delta.make (oneof [ oneofl pool; gen_real ]) gen_inf)
+
+let print_delta_list l =
+  String.concat "; " (List.map (fun v -> Format.asprintf "%a" Delta.pp v) l)
+
+let prop_choose_delta =
+  QCheck.Test.make ~name:"choose_delta = all-pairs reference" ~count:1000
+    (QCheck.make gen_delta_list ~print:print_delta_list)
+    (fun all ->
+      let got = Delta.choose_delta all and want = choose_delta_reference all in
+      Alcotest.check rat "value" want got;
+      (* Same representation too: models built from it print the same. *)
+      Alcotest.(check bool) "structural" true (got = want);
+      true)
+
 (* Representation robustness: [Bigint.denormalized_of_int] builds the
    same value in the non-canonical multi-limb form; [compare], [equal]
    and [hash] must not see the difference. [Rat.of_bigint] stores its
@@ -256,6 +311,6 @@ let () =
         qsuite [ prop_add_sub; prop_mul; prop_divmod; prop_gcd; prop_compare_roundtrip ]
         @ [ Alcotest.test_case "min_int corners" `Quick test_min_int_corners ] );
       ("rat", qsuite [ prop_rat_ops ]);
-      ("delta", qsuite [ prop_delta_ops ]);
+      ("delta", qsuite [ prop_delta_ops; prop_choose_delta ]);
       ("representation", qsuite [ prop_repr_independence ]);
     ]
