@@ -1360,7 +1360,7 @@ let run_serve_load () =
   in
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"paranoid\":%b}"
+      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"daemon_text_memo_hits\":%d,\"paranoid\":%b}"
       n t_count !failed_templates
       (String.concat ","
          (List.rev_map
@@ -1373,7 +1373,8 @@ let run_serve_load () =
       (pct 0.50) (pct 0.95) (pct 0.99) hit_rate !cached !errors
       (dfield "cache_hits") (dfield "cache_misses")
       (dfield "cache_insertions") (dfield "cache_entries")
-      (dfield "solver_queries") (dfield "solver_cache_hits") !paranoid
+      (dfield "solver_queries") (dfield "solver_cache_hits")
+      (dfield "text_memo_hits") !paranoid
   in
   print_endline json;
   if !errors > 0 then begin
@@ -1385,6 +1386,15 @@ let run_serve_load () =
       "!! serve-load: cache hit rate %.3f <= 0.5 — the hot template set is \
        not being served from cache\n"
       hit_rate;
+    exit 1
+  end;
+  (* Every replayed cache hit repeats a text the warm-up sent, so it
+     must also have skipped parsing and keying via the request memo. *)
+  if !cached > 0 && dfield "text_memo_hits" < 1 then begin
+    Printf.eprintf
+      "!! serve-load: %d cached replies but no request-memo hits — the \
+       daemon's repeated-text fast path is not being taken\n"
+      !cached;
     exit 1
   end
 

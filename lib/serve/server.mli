@@ -5,7 +5,10 @@
     cache and the sample model pool — resident between requests (via a
     {!Sia_core.Rewrite.Hot} handle), with a {!Cache} of finished
     rewrites in front so repeated query templates skip solver work
-    entirely.
+    entirely. A request memo keyed on the exact (target, SQL text) pair
+    additionally skips parsing, keying and — while the cache answers
+    with the same entry — reply printing for a repeated text; it
+    changes no answer and no cache counter.
 
     Connections are multiplexed with [select]: a half-written frame on
     one connection never delays another client, and requests are
@@ -21,7 +24,7 @@ type config = {
   socket_path : string;  (** Unix-domain socket to listen on *)
   cfg : Sia_core.Config.t;  (** synthesis configuration for all requests *)
   ttl : float;  (** rewrite-cache TTL seconds; [0.] = no expiry *)
-  capacity : int;  (** rewrite-cache entry bound *)
+  capacity : int;  (** rewrite-cache and request-memo entry bound *)
   trace_file : string option;
       (** write a Chrome trace of the daemon's lifetime here on
           shutdown *)

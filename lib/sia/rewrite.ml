@@ -114,17 +114,18 @@ let target_pred = non_join_pred
 let rewrite_for_columns ?cfg cat q ~target_cols =
   attach_result ?cfg cat q (non_join_pred cat q) target_cols
 
+let table_target_cols cat ~from ~pred ~target_table =
+  List.filter_map
+    (fun c ->
+      match Schema.table_of_column cat from c with
+      | t when t = target_table -> Some c.Ast.name
+      | _ -> None
+      | exception Not_found -> None)
+    (Ast.pred_columns pred)
+
 let rewrite_for_table ?cfg cat q ~target_table =
   let pred = non_join_pred cat q in
-  let target_cols =
-    List.filter_map
-      (fun c ->
-        match Schema.table_of_column cat q.Ast.from c with
-        | t when t = target_table -> Some c.Ast.name
-        | _ -> None
-        | exception Not_found -> None)
-      (Ast.pred_columns pred)
-  in
+  let target_cols = table_target_cols cat ~from:q.Ast.from ~pred ~target_table in
   if target_cols = [] then
     {
       original = q;

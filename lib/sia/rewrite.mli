@@ -63,6 +63,17 @@ val target_pred :
     join operator). Exposed so serving-layer caches key on exactly the
     predicate {!rewrite_for_columns} would hand to synthesis. *)
 
+val table_target_cols :
+  Sia_relalg.Schema.catalog ->
+  from:string list ->
+  pred:Sia_sql.Ast.pred ->
+  target_table:string ->
+  string list
+(** The columns of [pred] that resolve to [target_table] over [from], in
+    predicate order — the column subset {!rewrite_for_table} synthesizes
+    over when [pred] is the query's {!target_pred}. Unresolvable columns
+    are skipped. *)
+
 (** Hot-state handle for long-running processes (the [sia serve]
     daemon): catalog, config, and the solver's paranoid mode are fixed
     once at creation instead of re-derived per call, and the
