@@ -915,25 +915,15 @@ let run_suite () =
        (if !paranoid then ", paranoid" else ""));
   let variants = env_int "SIA_SUITE_VARIANTS" (if !smoke then 1 else 2) in
   let queries = Qgen.suite ~seed:42 ~variants () in
-  (* Target columns exactly as Rewrite.rewrite_for_table selects them:
-     predicate columns of the non-join WHERE clause that resolve to the
-     template's target table, in occurrence order. *)
+  (* Target columns exactly as Rewrite.rewrite_for_table selects them. *)
   let tasks =
     List.map
       (fun (s : Qgen.suite_query) ->
-        let pred = Rewrite.target_pred Schema.tpch s.Qgen.squery in
-        let cols =
-          List.filter_map
-            (fun (c : Ast.column) ->
-              match
-                Schema.table_of_column Schema.tpch s.Qgen.squery.Ast.from c
-              with
-              | t when t = s.Qgen.starget -> Some c.Ast.name
-              | _ -> None
-              | exception Not_found -> None)
-            (Ast.pred_columns pred)
-        in
-        (s.Qgen.squery, cols))
+        let q = s.Qgen.squery in
+        ( q,
+          Rewrite.table_target_cols Schema.tpch ~from:q.Ast.from
+            ~pred:(Rewrite.target_pred Schema.tpch q)
+            ~target_table:s.Qgen.starget ))
       queries
   in
   let cfg =

@@ -5,6 +5,12 @@
     of this rule by synthesizing one-sided predicates; these rules are what
     then exploit them. *)
 
+val pred_tables : Schema.catalog -> string list -> Sia_sql.Ast.pred -> string list
+(** [pred_tables cat from p]: the sorted, deduplicated tables over [from]
+    that own the columns of [p]. An unresolvable column contributes
+    ["?"], which no plan node covers, so such a predicate is never sunk
+    below a join. This is the test {!push_down} sinks by. *)
+
 val push_down : Schema.catalog -> Plan.t -> Plan.t
 (** Split conjunctive filters and sink each conjunct to the deepest plan
     node whose table set covers its columns. *)

@@ -34,6 +34,11 @@ val synthesize :
   target_cols:string list ->
   stats
 
+val canonical_order : Sia_sql.Ast.pred -> Sia_sql.Ast.pred
+(** The top-level conjuncts sorted by their SQL rendering: the form every
+    emitted predicate takes, so that conjunct order never depends on
+    sample order or on how a request ordered its WHERE clause. *)
+
 val predicate : stats -> Sia_sql.Ast.pred option
 (** The synthesized predicate of an [Optimal] or [Valid] outcome. *)
 
