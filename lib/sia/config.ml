@@ -60,3 +60,7 @@ let default =
 
 let sia_v1 = { default with max_iterations = 1; initial_true = 110; initial_false = 110 }
 let sia_v2 = { default with max_iterations = 1; initial_true = 220; initial_false = 220 }
+
+let apply_switches t =
+  if t.paranoid then Sia_check.Check.enable ();
+  if t.trace then Sia_trace.Trace.enable ()

@@ -51,3 +51,9 @@ val sia_v1 : t
 
 val sia_v2 : t
 (** Non-iterative baseline: 1 iteration, 220+220 initial samples. *)
+
+val apply_switches : t -> unit
+(** Turn on the process-global switches [t] asks for: the certificate
+    checker when [paranoid], the trace sink when [trace]. Both are
+    idempotent and never turned off here, so every entry point that
+    runs solver work under [t] can call this first. *)
