@@ -207,13 +207,18 @@ let compile_pred3 table p =
   let c = compile (table_resolver table) p in
   fun r -> if c.t r then Tv_true else if c.f r then Tv_false else Tv_null
 
+(* [select]'s working array of candidate rows, kept between calls and
+   grown on demand: a filter over n rows then allocates only its result,
+   not an n-word scratch array on fresh pages as well. *)
+let select_scratch = ref [||]
+
 (* The engine filter keeps only TRUE rows: UNKNOWN rejects, exactly the
    discipline Verify's Unknown-never-valid rule assumes. Each top-level
    conjunct only visits the survivors of the ones before it. *)
 let select resolve p n =
-  let sel = Array.make n 0 in
   let count = ref 0 in
   let narrow first test =
+    let sel = !select_scratch in
     let m = !count in
     count := 0;
     for k = 0 to (if first then n else m) - 1 do
@@ -227,9 +232,10 @@ let select resolve p n =
   match List.map (fun c -> (compile resolve c).t) (Ast.conjuncts p) with
   | [] -> Array.init n Fun.id
   | first :: rest ->
+    if Array.length !select_scratch < n then select_scratch := Array.make n 0;
     narrow true first;
     List.iter (narrow false) rest;
-    Array.sub sel 0 !count
+    Array.sub !select_scratch 0 !count
 
 let filter table p = Table.gather table (select (table_resolver table) p table.Table.nrows)
 

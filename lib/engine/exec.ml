@@ -51,6 +51,23 @@ let push b x =
   b.data.(b.len) <- x;
   b.len <- b.len + 1
 
+(* The hash join's working arrays, kept between joins and grown on
+   demand: a join then allocates only its output index vectors, not a
+   hash table and two probe-sized buffers on fresh pages as well. *)
+let join_keys = ref [||]
+let join_head = ref [||]
+let join_next = ref [||]
+let join_bi = { data = [||]; len = 0 }
+let join_pi = { data = [||]; len = 0 }
+
+let reserve r n =
+  if Array.length !r < n then r := Array.make n 0;
+  !r
+
+let reset b n =
+  if Array.length b.data < n then b.data <- Array.make n 0;
+  b.len <- 0
+
 (* Fibonacci hashing into [2^bits] slots. *)
 let hash_bits k bits = (k * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
 
@@ -73,8 +90,11 @@ let join_cursors lc rc ~left_key ~right_key =
     go 4
   in
   let mask = (1 lsl bits) - 1 in
-  let keys = Array.make (mask + 1) 0 and head = Array.make (mask + 1) (-1) in
-  let next = Array.make build.n (-1) in
+  (* [keys.(s)] is read only once [head.(s)] is set, and [next.(i)] only
+     for an inserted [i], so only [head] needs clearing. *)
+  let keys = reserve join_keys (mask + 1) and head = reserve join_head (mask + 1) in
+  Array.fill head 0 (mask + 1) (-1);
+  let next = reserve join_next build.n in
   let rec slot k s = if head.(s) < 0 || keys.(s) = k then s else slot k ((s + 1) land mask) in
   for i = 0 to build.n - 1 do
     if bok i then begin
@@ -85,8 +105,9 @@ let join_cursors lc rc ~left_key ~right_key =
       head.(s) <- i
     end
   done;
-  let bi = { data = Array.make (Stdlib.max 16 probe.n) 0; len = 0 } in
-  let pi = { data = Array.make (Stdlib.max 16 probe.n) 0; len = 0 } in
+  let bi = join_bi and pi = join_pi in
+  reset bi (Stdlib.max 16 probe.n);
+  reset pi (Stdlib.max 16 probe.n);
   for j = 0 to probe.n - 1 do
     if pok j then begin
       let k = pget j in
