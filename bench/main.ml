@@ -3,17 +3,17 @@
    limitation study, a QE-method ablation, and bechamel micro-benchmarks.
 
    Usage:  main.exe [motivating|fig6|table2|table3|fig7|fig8|fig9|limits|
-                     ablation|bench|suite|serve-load|numeric|micro|all]
-                    [--paranoid] [--jobs N] [--smoke] [--numeric]
-                    [--baseline FILE] [--trace FILE] [--metrics]
-                    [--serve-load] [--connections N] [--requests N]
+                     ablation|bench|suite|numeric|micro|all]
+                    [--paranoid] [--jobs N] [--smoke] [--baseline FILE]
+                    [--dump-sql FILE] [--trace FILE] [--metrics]
    --paranoid audits every solver verdict through the independent
    certificate checker and re-derives each synthesized rewrite; the
    "bench" JSON then also reports the checking overhead.
    --jobs N  ("bench" and "suite") runs the workload on an N-worker fork pool
-   and again sequentially, checks the outputs are identical, and reports
-   both JSON rows with the speedup; --smoke shrinks the workload for CI
-   (exit 1 on any parallel/sequential mismatch either way).
+   and again sequentially and checks the outputs are identical (exit 1 on
+   any mismatch); "bench" also reports the parallel row with the speedup.
+   --smoke shrinks the workload for CI. --baseline FILE gates the row
+   against FILE; --dump-sql FILE writes the rewritten predicates.
    --trace FILE writes a Chrome trace-event JSON of the whole run
    (chrome://tracing / ui.perfetto.dev; SIA_TRACE_DETAIL=1 adds per-node
    simplex events); --metrics prints the aggregated span/counter table.
@@ -497,181 +497,187 @@ let run_ablation () =
 (* Machine-readable perf benchmark                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One JSON line with end-to-end synthesis wall-clock and solver
-   statistics over a fixed seeded workload, so the perf trajectory can be
-   tracked across PRs (append the line to BENCH_synthesis.json).
+module Json = Sia_trace.Json
 
-   With --jobs N (N > 1) the workload runs twice — first on an N-worker
-   pool, then sequentially in-process — and the two result lists are
-   compared attempt by attempt: rendered predicates and valid/optimal
-   outcomes must be identical, or the run fails with exit 1. Both rows
-   are printed; the parallel one carries "jobs", per-worker task counts
-   and the measured speedup. --smoke shrinks the workload (4 queries
-   unless SIA_PERF_QUERIES overrides) for CI. *)
 let jobs_n = ref 1
 let smoke = ref false
 let baseline_file = ref None
-let numeric_flag = ref false
 let trace_file = ref None
 let metrics = ref false
 let dump_sql = ref None
 
-(* Extract an integer field from a JSON row without a JSON dependency:
-   the bench rows are flat objects we printed ourselves. *)
-let json_int_field row name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  match String.index_opt row '{' with
-  | None -> None
-  | Some _ -> (
-    let rec find from =
-      match String.index_from_opt row from '"' with
-      | None -> None
-      | Some i ->
-        if i + String.length needle <= String.length row
-           && String.sub row i (String.length needle) = needle
-        then Some (i + String.length needle)
-        else find (i + 1)
+let int n = Json.Num (float_of_int n)
+
+(* --baseline FILE: the gates the emitted row must pass against the
+   committed reference row, the last line of FILE whose "bench" tag
+   matches the row's, so one baseline file carries a row per subcommand
+   ("synthesis", "suite", ...). A gate is (field, direction, tolerance,
+   required): the row's value must be >= (`Ge) or <= (`Le) tolerance
+   times the baseline's. A required field missing from the baseline row
+   fails the run; an optional one is skipped, so older baseline rows
+   still gate what they carry. Certificate rejections must not appear,
+   and sample generation must stay within 1.5x of the recorded gen_cpu_s
+   (a coarse multiplier: CI machines differ, order-of-magnitude ladder
+   regressions do not). *)
+let gates =
+  [
+    ("valid", `Ge, 1.0, true);
+    ("optimal", `Ge, 1.0, true);
+    ("cert_rejections", `Le, 1.0, false);
+    ("gen_cpu_s", `Le, 1.5, false);
+  ]
+
+let check_baseline row file =
+  let tag = Option.get (Json.str (Json.member "bench" row)) in
+  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt in
+  let base =
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.fold_left
+         (fun acc line ->
+           match Json.parse line with
+           | r when Json.str (Json.member "bench" r) = Some tag -> Some r
+           | _ | (exception Json.Error _) -> acc)
+         None
+  in
+  match base with
+  | None -> fail "baseline %s: no \"bench\":\"%s\" row found" file tag
+  | Some base ->
+    let checked =
+      List.filter_map
+        (fun (field, dir, tol, required) ->
+          let get r = Json.num (Json.member field r) in
+          match (get base, get row) with
+          | None, _ when not required -> None
+          | None, _ | _, None -> fail "baseline %s [%s]: a row lacks %s" file tag field
+          | Some b, Some v ->
+            let limit = tol *. b in
+            let ok, op = match dir with `Ge -> (v >= limit, ">=") | `Le -> (v <= limit, "<=") in
+            if not ok then
+              fail "!! regression vs %s [%s]: %s %g (baseline %g, limit %s %g)" file
+                tag field v b op limit;
+            Some (Printf.sprintf "%s %g %s %g" field v op limit))
+        gates
     in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length row
-        && (match row.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      int_of_string_opt (String.sub row start (!stop - start)))
+    Printf.printf "baseline %s [%s]: ok (%s)\n" file tag (String.concat ", " checked)
 
-(* Minimal JSON string escaping for strings we embed in bench rows
-   (failure reasons are solver outcome strings — printable ASCII, but a
-   stray quote or backslash must not corrupt the row). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\x00' .. '\x1f' -> Buffer.add_char b ' '
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Which run of a differential a row reports: the only one (--jobs 1),
+   or the sequential reference and the parallel run of --jobs N. *)
+type run_kind = Only | Sequential | Parallel of { seq_wall : float }
 
-let json_float_field row name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  let rec find from =
-    match String.index_from_opt row from '"' with
-    | None -> None
-    | Some i ->
-      if i + String.length needle <= String.length row
-         && String.sub row i (String.length needle) = needle
-      then Some (i + String.length needle)
-      else find (i + 1)
+(* The run "bench" and "suite" share. With --jobs 1 the workload runs
+   once in process. With --jobs N it runs on N workers first and then
+   sequentially: the forked workers must not inherit a memo cache warmed
+   by the sequential reference, or the measured speedup would be
+   answering from cache (worker caches die with the workers, so the
+   sequential run starts equally cold). The sequential run is canonical:
+   its row is gated and its predicates dumped. The parallel run must
+   match it predicate for predicate and outcome for outcome, or the run
+   exits 1. [emit] prints a run's row and returns it; the parallel run
+   gets a row of its own only with [~parallel_row:true]. *)
+let differential ?(parallel_row = false) ~run ~results ~pred ~stats ~emit () =
+  let jobs = !jobs_n in
+  let timed j =
+    let t0 = Unix.gettimeofday () in
+    let b = run j in
+    (b, Unix.gettimeofday () -. t0)
   in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < String.length row
-      && (match row.[!stop] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.sub row start (!stop - start))
-
-(* String-valued fields ("bench":"suite"). Bench tags are plain
-   identifiers, so no unescaping is needed. *)
-let json_string_field row name =
-  let needle = Printf.sprintf "\"%s\":\"" name in
-  let rec find from =
-    match String.index_from_opt row from '"' with
-    | None -> None
-    | Some i ->
-      if i + String.length needle <= String.length row
-         && String.sub row i (String.length needle) = needle
-      then Some (i + String.length needle)
-      else find (i + 1)
+  let render b =
+    List.map
+      (fun r -> match pred r with Some p -> Printer.string_of_pred p | None -> "-")
+      (results b)
   in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt row start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub row start (stop - start)))
-
-(* --baseline FILE: fail the run if efficacy regressed against the
-   committed reference row — the last JSON object line of FILE whose
-   "bench" tag matches the running benchmark, so one baseline file can
-   carry a row per subcommand ("synthesis", "suite", ...). Beyond
-   valid/optimal, the gate also holds two solver-health lines when the
-   baseline row carries them: certificate rejections must not appear
-   (cert_rejections), and sample
-   generation must stay within 1.5x of the recorded gen_cpu_s (a coarse
-   multiplier: CI machines differ, order-of-magnitude ladder regressions
-   do not). Fields absent from an older baseline row are skipped. *)
-let check_baseline ?(tag = "synthesis") ~valid ~optimal ~gen_cpu
-    ~(sv : Solver.stats) file =
-  let last_row =
-    let ic = open_in file in
-    let rec go acc =
-      match input_line ic with
-      | line ->
-        let keep =
-          String.length line > 0
-          && line.[0] = '{'
-          && json_string_field line "bench" = Some tag
-        in
-        go (if keep then Some line else acc)
-      | exception End_of_file ->
-        close_in ic;
-        acc
+  (* --dump-sql FILE: one rendered predicate per attempt, in attempt
+     order, from the canonical run: the byte-diff anchor for comparing
+     rewritten SQL across builds. *)
+  let finish b row =
+    let preds = render b in
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_text file (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) preds);
+        Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file
+          (List.length preds))
+      !dump_sql;
+    Option.iter (check_baseline row) !baseline_file;
+    preds
+  in
+  if jobs <= 1 then begin
+    let b, wall = timed 1 in
+    ignore (finish b (emit Only ~wall b))
+  end
+  else begin
+    let pb, pwall = timed jobs in
+    let sb, swall = timed 1 in
+    let row = emit Sequential ~wall:swall sb in
+    if parallel_row then ignore (emit (Parallel { seq_wall = swall }) ~wall:pwall pb);
+    let preds_s = finish sb row and preds_p = render pb in
+    let flags b =
+      List.map
+        (fun r ->
+          let st = stats r in
+          (Synthesize.is_valid_outcome st, Synthesize.is_optimal_outcome st))
+        (results b)
     in
-    go None
-  in
-  match last_row with
-  | None ->
-    Printf.eprintf "baseline %s: no \"bench\":\"%s\" row found\n" file tag;
-    exit 1
-  | Some row -> (
-    match (json_int_field row "valid", json_int_field row "optimal") with
-    | Some bv, Some bo ->
-      if valid < bv || optimal < bo then begin
-        Printf.eprintf
-          "!! efficacy regression vs %s: valid %d (baseline %d), optimal %d (baseline %d)\n"
-          file valid bv optimal bo;
-        exit 1
-      end;
-      (match json_int_field row "cert_rejections" with
-       | Some br when sv.Solver.cert_rejections > br ->
-         Printf.eprintf
-           "!! certificate regression vs %s: cert_rejections %d (baseline %d)\n"
-           file sv.Solver.cert_rejections br;
-         exit 1
-       | _ -> ());
-      (match json_float_field row "gen_cpu_s" with
-       | Some bg when gen_cpu > 1.5 *. bg ->
-         Printf.eprintf
-           "!! sample-generation regression vs %s: gen_cpu_s %.3f (baseline %.3f, limit 1.5x)\n"
-           file gen_cpu bg;
-         exit 1
-       | _ -> ());
+    if preds_p = preds_s && flags pb = flags sb then
       Printf.printf
-        "baseline %s [%s]: ok (valid %d >= %d, optimal %d >= %d, cert_rejections %d, gen_cpu_s %.3f)\n"
-        file tag valid bv optimal bo sv.Solver.cert_rejections gen_cpu
-    | _ ->
-      Printf.eprintf "baseline %s: row lacks valid/optimal fields\n" file;
-      exit 1)
+        "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
+        jobs (List.length preds_s) (swall /. Float.max 1e-9 pwall)
+    else begin
+      Printf.printf "!! parallel/sequential mismatch:\n";
+      List.iteri
+        (fun i (p, s) ->
+          if p <> s then Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs p s)
+        (List.combine preds_p preds_s);
+      exit 1
+    end
+  end
 
+let run_header title =
+  header
+    (Printf.sprintf "%s%s%s (JSON)" title
+       (if !jobs_n > 1 then Printf.sprintf ", %d workers + sequential reference" !jobs_n
+        else "")
+       (if !paranoid then ", paranoid" else ""))
+
+(* Differential mode drops the per-attempt wall-clock budget: a timeout
+   that fires under CPU contention in one run but not the other is the
+   one nondeterminism source the comparison cannot control for. *)
+let batch_cfg () =
+  {
+    Config.default with
+    Config.time_budget = (if !jobs_n > 1 then None else budget);
+    Config.paranoid = !paranoid;
+    Config.trace = Config.default.Config.trace || !trace_file <> None || !metrics;
+  }
+
+(* Solver totals and per-phase times of a run. Per-phase times are summed
+   over attempts, which at jobs > 1 means CPU seconds aggregated across
+   workers, deliberately reported under *_cpu_s names, separate from the
+   wall clock, so a parallel row's phase times reading above wall_s is
+   meaningful instead of contradictory. *)
+let solver_total stats =
+  List.fold_left
+    (fun acc (s : Synthesize.stats) -> Solver.stats_add acc s.Synthesize.solver)
+    Solver.stats_zero stats
+
+let cpu_fields stats =
+  let sum f = Json.Num (List.fold_left (fun acc s -> acc +. f s) 0.0 stats) in
+  [
+    ("gen_cpu_s", sum (fun s -> s.Synthesize.gen_time));
+    ("learn_cpu_s", sum (fun s -> s.Synthesize.learn_time));
+    ("verify_cpu_s", sum (fun s -> s.Synthesize.verify_time));
+  ]
+
+(* One JSON line with end-to-end synthesis wall-clock and solver
+   statistics over a fixed seeded workload, so the perf trajectory can be
+   tracked across PRs (append the line to BENCH_synthesis.json). With
+   --jobs N both rows are printed; the parallel one carries per-worker
+   task counts and the measured speedup. --smoke shrinks the workload (4
+   queries unless SIA_PERF_QUERIES overrides) for CI. *)
 let run_perf () =
   let jobs = !jobs_n in
-  header
-    (Printf.sprintf "perf: end-to-end synthesis workload%s%s (JSON)"
-       (if jobs > 1 then Printf.sprintf ", %d workers + sequential reference" jobs
-        else "")
-       (if !paranoid then ", paranoid" else ""));
+  run_header "perf: end-to-end synthesis workload";
   let n = env_int "SIA_PERF_QUERIES" (if !smoke then 4 else 12) in
   (* Oversubscription hurts the parallel differential silently (workers
      timeshare, wall-clock speedup collapses); say so instead of failing,
@@ -683,17 +689,7 @@ let run_perf () =
       jobs cores (if cores = 1 then "" else "s");
   let queries = Qgen.generate ~seed:42 ~count:n () in
   let subsets = Qgen.column_subsets 1 @ Qgen.column_subsets 2 in
-  (* Differential mode drops the per-attempt wall-clock budget: a timeout
-     that fires under CPU contention in one run but not the other is the
-     one nondeterminism source the comparison cannot control for. *)
-  let cfg =
-    {
-      Config.default with
-      Config.time_budget = (if jobs > 1 then None else budget);
-      Config.paranoid = !paranoid;
-      Config.trace = Config.default.Config.trace || !trace_file <> None || !metrics;
-    }
-  in
+  let cfg = batch_cfg () in
   let tagged =
     List.concat_map
       (fun (gq : Qgen.gen_query) -> List.map (fun s -> (gq, s)) subsets)
@@ -709,23 +705,15 @@ let run_perf () =
         })
       tagged
   in
-  let run_batch j =
-    let t0 = Unix.gettimeofday () in
-    let b =
-      Synthesize.synthesize_batch
-        ~cfg:{ cfg with Config.jobs = j }
-        Schema.tpch attempts
-    in
-    (b, Unix.gettimeofday () -. t0)
-  in
-  (* Report one batch as a JSON row. [audit] runs the certificate-checked
-     re-derivation pass (paranoid only); [seq_wall] marks a parallel row
-     and carries the sequential reference for the speedup field. *)
-  let emit ?(audit = false) ?seq_wall ~wall (b : Synthesize.batch) =
+  (* The row of one batch. Under --paranoid the only or parallel run also
+     re-derives each synthesized predicate through the certificate-checked
+     audit and reports the checking overhead. *)
+  let emit kind ~wall (b : Synthesize.batch) =
     let stats = b.Synthesize.results in
+    let audit = !paranoid && match kind with Sequential -> false | Only | Parallel _ -> true in
     let audit_passed = ref 0 and audit_failed = ref 0 in
     let audit_t0 = Unix.gettimeofday () in
-    if audit && !paranoid then
+    if audit then
       List.iter2
         (fun ((gq : Qgen.gen_query), _) st ->
           match Synthesize.predicate st with
@@ -743,151 +731,99 @@ let run_perf () =
         tagged stats;
     let audit_wall = Unix.gettimeofday () -. audit_t0 in
     let count f = List.length (List.filter f stats) in
-    let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 stats in
-    let sv =
-      List.fold_left
-        (fun acc s -> Solver.stats_add acc s.Synthesize.solver)
-        Solver.stats_zero stats
-    in
+    let sv = solver_total stats in
     (* Certificate-checking overhead relative to the time spent actually
        solving (SAT search + theory + encoding). *)
     let solve_s = sv.Solver.encode_time +. sv.Solver.search_time in
     let cert_overhead =
       (sv.Solver.cert_time +. audit_wall) /. Float.max 1e-9 solve_s
     in
-    let pool_fields =
-      match seq_wall with
-      | None ->
-        Printf.sprintf ",\"jobs\":%d,\"jobs_requested\":%d" b.Synthesize.jobs
-          b.Synthesize.jobs_requested
-      | Some sw ->
-        (* Per-worker attribution, aligned by index across the three
-           arrays: the retained epilogue summaries say which worker did
-           how much of the batch. *)
-        Printf.sprintf
-          ",\"jobs\":%d,\"jobs_requested\":%d,\"worker_tasks\":[%s],\"worker_wall_s\":[%s],\"worker_queries\":[%s],\"worker_pivots\":[%s],\"seq_wall_s\":%.3f,\"speedup\":%.2f"
-          b.Synthesize.jobs b.Synthesize.jobs_requested
-          (String.concat "," (List.map string_of_int b.Synthesize.worker_tasks))
-          (String.concat ","
-             (List.map (Printf.sprintf "%.3f") b.Synthesize.worker_wall))
-          (String.concat ","
-             (List.map
-                (fun (s : Solver.stats) -> string_of_int s.Solver.queries)
-                b.Synthesize.worker_solver))
-          (String.concat ","
-             (List.map
-                (fun (s : Solver.stats) -> string_of_int s.Solver.pivots)
-                b.Synthesize.worker_solver))
-          sw (sw /. Float.max 1e-9 wall)
+    let worker_fields =
+      match kind with
+      | Only | Sequential -> []
+      | Parallel { seq_wall } ->
+        (* Per-worker attribution, aligned by index across the arrays:
+           the retained epilogue summaries say which worker did how much
+           of the batch. *)
+        List.iteri
+          (fun i ((tasks, wall_s), (s : Solver.stats)) ->
+            Printf.printf
+              "  worker %d: %d tasks, %.2f s, %d queries, %d cache hits, %d pivots\n"
+              i tasks wall_s s.Solver.queries s.Solver.cache_hits s.Solver.pivots)
+          (List.combine
+             (List.combine b.Synthesize.worker_tasks b.Synthesize.worker_wall)
+             b.Synthesize.worker_solver);
+        let per_worker f = Json.Arr (List.map f b.Synthesize.worker_solver) in
+        [
+          ("worker_tasks", Json.Arr (List.map int b.Synthesize.worker_tasks));
+          ("worker_wall_s", Json.Arr (List.map (fun w -> Json.Num w) b.Synthesize.worker_wall));
+          ("worker_queries", per_worker (fun s -> int s.Solver.queries));
+          ("worker_pivots", per_worker (fun s -> int s.Solver.pivots));
+          ("seq_wall_s", Json.Num seq_wall);
+          ("speedup", Json.Num (seq_wall /. Float.max 1e-9 wall));
+        ]
     in
-    (match seq_wall with
-     | None -> ()
-     | Some _ ->
-       List.iteri
-         (fun i ((tasks, wall_s), (s : Solver.stats)) ->
-           Printf.printf
-             "  worker %d: %d tasks, %.2f s, %d queries, %d cache hits, %d pivots\n"
-             i tasks wall_s s.Solver.queries s.Solver.cache_hits s.Solver.pivots)
-         (List.combine
-            (List.combine b.Synthesize.worker_tasks b.Synthesize.worker_wall)
-            b.Synthesize.worker_solver));
-    let valid = count Synthesize.is_valid_outcome in
-    let optimal = count Synthesize.is_optimal_outcome in
-    (* Per-phase times are summed over attempts, which at jobs > 1 means
-       CPU seconds aggregated across workers — deliberately reported
-       under *_cpu_s names, separate from the wall clock, so a parallel
-       row's phase times reading above wall_s is meaningful instead of
-       contradictory. *)
-    let json =
-      Printf.sprintf
-        "{\"bench\":\"synthesis\",\"queries\":%d,\"attempts\":%d,\"valid\":%d,\"optimal\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"gen_model_reuse_hits\":%d,\"gen_underapprox_solves\":%d,\"gen_fallbacks\":%d,\"cegqi_instantiations\":%d,\"online_cores\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_encodings\":%d,\"solver_instances\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_propagations\":%d,\"solver_restarts\":%d,\"solver_pivots\":%d,\"solver_encode_s\":%.3f,\"solver_search_s\":%.3f,\"solver_theory_s\":%.3f,\"paranoid\":%b,\"cert_lemmas\":%d,\"cert_proofs\":%d,\"cert_models\":%d,\"cert_rejections\":%d,\"cert_s\":%.3f,\"audit_passed\":%d,\"audit_failed\":%d,\"audit_s\":%.3f,\"cert_overhead\":%.3f%s}"
-        n (List.length stats) valid optimal wall
-        (sum (fun s -> s.Synthesize.gen_time))
-        (sum (fun s -> s.Synthesize.learn_time))
-        (sum (fun s -> s.Synthesize.verify_time))
-        sv.Solver.pool_hits sv.Solver.underapprox_solves sv.Solver.gen_fallbacks
-        sv.Solver.cegqi_instantiations
-        (Sia_pool.Pool.online_cores ())
-        sv.Solver.queries sv.Solver.cache_hits sv.Solver.encodings
-        sv.Solver.instances sv.Solver.theory_rounds sv.Solver.reused_rounds
-        sv.Solver.extended_rounds sv.Solver.tableau_rebuilds sv.Solver.conflicts
-        sv.Solver.propagations sv.Solver.restarts sv.Solver.pivots
-        sv.Solver.encode_time sv.Solver.search_time sv.Solver.theory_time !paranoid sv.Solver.cert_lemmas
-        sv.Solver.cert_proofs sv.Solver.cert_models sv.Solver.cert_rejections
-        sv.Solver.cert_time !audit_passed !audit_failed audit_wall cert_overhead
-        pool_fields
+    let row =
+      Json.Obj
+        ([
+           ("bench", Json.Str "synthesis");
+           ("queries", int n);
+           ("attempts", int (List.length stats));
+           ("valid", int (count Synthesize.is_valid_outcome));
+           ("optimal", int (count Synthesize.is_optimal_outcome));
+           ("wall_s", Json.Num wall);
+         ]
+        @ cpu_fields stats
+        @ [
+            ("gen_model_reuse_hits", int sv.Solver.pool_hits);
+            ("gen_underapprox_solves", int sv.Solver.underapprox_solves);
+            ("gen_fallbacks", int sv.Solver.gen_fallbacks);
+            ("cegqi_instantiations", int sv.Solver.cegqi_instantiations);
+            ("online_cores", int (Sia_pool.Pool.online_cores ()));
+            ("solver_queries", int sv.Solver.queries);
+            ("solver_cache_hits", int sv.Solver.cache_hits);
+            ("solver_encodings", int sv.Solver.encodings);
+            ("solver_instances", int sv.Solver.instances);
+            ("solver_theory_rounds", int sv.Solver.theory_rounds);
+            ("solver_reused_rounds", int sv.Solver.reused_rounds);
+            ("solver_extended_rounds", int sv.Solver.extended_rounds);
+            ("solver_rebuilds", int sv.Solver.tableau_rebuilds);
+            ("solver_conflicts", int sv.Solver.conflicts);
+            ("solver_propagations", int sv.Solver.propagations);
+            ("solver_restarts", int sv.Solver.restarts);
+            ("solver_pivots", int sv.Solver.pivots);
+            ("solver_encode_s", Json.Num sv.Solver.encode_time);
+            ("solver_search_s", Json.Num sv.Solver.search_time);
+            ("solver_theory_s", Json.Num sv.Solver.theory_time);
+            ("paranoid", Json.Bool !paranoid);
+            ("cert_lemmas", int sv.Solver.cert_lemmas);
+            ("cert_proofs", int sv.Solver.cert_proofs);
+            ("cert_models", int sv.Solver.cert_models);
+            ("cert_rejections", int sv.Solver.cert_rejections);
+            ("cert_s", Json.Num sv.Solver.cert_time);
+            ("audit_passed", int !audit_passed);
+            ("audit_failed", int !audit_failed);
+            ("audit_s", Json.Num audit_wall);
+            ("cert_overhead", Json.Num cert_overhead);
+            ("jobs", int b.Synthesize.jobs);
+            ("jobs_requested", int b.Synthesize.jobs_requested);
+          ]
+        @ worker_fields)
     in
     Format.printf "solver: %a@." Solver.pp_stats sv;
-    if audit && !paranoid then
+    if audit then
       Printf.printf
         "paranoid: %d lemma certs, %d proofs, %d models, %d rejections; audit %d passed / %d failed; overhead %.2fx solve time\n"
         sv.Solver.cert_lemmas sv.Solver.cert_proofs sv.Solver.cert_models
         sv.Solver.cert_rejections !audit_passed !audit_failed cert_overhead;
-    print_endline json;
-    (valid, optimal, sum (fun s -> s.Synthesize.gen_time), sv)
+    print_endline (Json.to_string row);
+    row
   in
-  let render st =
-    match Synthesize.predicate st with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
-  (* --dump-sql FILE: one rendered predicate per attempt, in attempt
-     order, from the sequential (canonical) batch — the byte-diff anchor
-     for comparing rewritten SQL across builds. *)
-  let dump_rendered (b : Synthesize.batch) =
-    Option.iter
-      (fun file ->
-        let oc = open_out file in
-        List.iter
-          (fun st ->
-            output_string oc (render st);
-            output_char oc '\n')
-          b.Synthesize.results;
-        close_out oc;
-        Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file
-          (List.length b.Synthesize.results))
-      !dump_sql
-  in
-  if jobs <= 1 then begin
-    let b, wall = run_batch 1 in
-    let valid, optimal, gen_cpu, sv = emit ~audit:true ~wall b in
-    dump_rendered b;
-    Option.iter (check_baseline ~valid ~optimal ~gen_cpu ~sv) !baseline_file
-  end
-  else begin
-    (* Parallel first: the forked workers must not inherit a memo cache
-       warmed by the sequential reference run, or the measured "speedup"
-       would be answering from cache. (Worker caches die with the
-       workers, so the sequential run that follows starts equally cold.) *)
-    let pb, pwall = run_batch jobs in
-    let sb, swall = run_batch 1 in
-    let preds_p = List.map render pb.Synthesize.results in
-    let preds_s = List.map render sb.Synthesize.results in
-    let flags b =
-      List.map
-        (fun st ->
-          (Synthesize.is_valid_outcome st, Synthesize.is_optimal_outcome st))
-        b.Synthesize.results
-    in
-    let valid, optimal, gen_cpu, sv = emit ~wall:swall sb in
-    let (_ : int * int * float * Solver.stats) =
-      emit ~audit:true ~seq_wall:swall ~wall:pwall pb
-    in
-    dump_rendered sb;
-    Option.iter (check_baseline ~valid ~optimal ~gen_cpu ~sv) !baseline_file;
-    if preds_p = preds_s && flags pb = flags sb then
-      Printf.printf
-        "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
-        jobs (List.length attempts) (swall /. Float.max 1e-9 pwall)
-    else begin
-      Printf.printf "!! parallel/sequential mismatch:\n";
-      List.iteri
-        (fun i (p, s) ->
-          if p <> s then Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs p s)
-        (List.combine preds_p preds_s);
-      exit 1
-    end
-  end
+  differential ~parallel_row:true
+    ~run:(fun j ->
+      Synthesize.synthesize_batch ~cfg:{ cfg with Config.jobs = j } Schema.tpch attempts)
+    ~results:(fun b -> b.Synthesize.results)
+    ~pred:Synthesize.predicate ~stats:Fun.id ~emit ()
 
 (* ------------------------------------------------------------------ *)
 (* TPC-H-class suite                                                    *)
@@ -903,16 +839,9 @@ let run_perf () =
    row tagged "bench":"suite" carrying grammar-construct counts
    (n_in/n_between/n_case/n_like/n_isnull/n_string_eq), per-table engine
    row counts at SIA_SF_ONE, and the aggregated solver statistics;
-   --dump-sql, --baseline and --jobs behave as under "bench" (the
-   parallel run is compared rewrite-by-rewrite against the sequential
-   reference, exit 1 on divergence). *)
+   --dump-sql, --baseline and --jobs behave as under "bench". *)
 let run_suite () =
-  let jobs = !jobs_n in
-  header
-    (Printf.sprintf "suite: TPC-H-class workload, 8 tables, full grammar%s%s (JSON)"
-       (if jobs > 1 then Printf.sprintf ", %d workers + sequential reference" jobs
-        else "")
-       (if !paranoid then ", paranoid" else ""));
+  run_header "suite: TPC-H-class workload, 8 tables, full grammar";
   let variants = env_int "SIA_SUITE_VARIANTS" (if !smoke then 1 else 2) in
   let queries = Qgen.suite ~seed:42 ~variants () in
   (* Target columns exactly as Rewrite.rewrite_for_table selects them. *)
@@ -926,24 +855,7 @@ let run_suite () =
             ~target_table:s.Qgen.starget ))
       queries
   in
-  let cfg =
-    {
-      Config.default with
-      Config.time_budget = (if jobs > 1 then None else budget);
-      Config.paranoid = !paranoid;
-      Config.trace = Config.default.Config.trace || !trace_file <> None || !metrics;
-    }
-  in
-  let run j =
-    let t0 = Unix.gettimeofday () in
-    let rs = Rewrite.rewrite_all ~cfg:{ cfg with Config.jobs = j } Schema.tpch tasks in
-    (rs, Unix.gettimeofday () -. t0)
-  in
-  let render (r : Rewrite.rewrite_result) =
-    match r.Rewrite.synthesized with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
+  let cfg = batch_cfg () in
   let outcome_name (r : Rewrite.rewrite_result) =
     match r.Rewrite.stats.Synthesize.outcome with
     | Synthesize.Optimal _ -> "optimal"
@@ -951,8 +863,8 @@ let run_suite () =
     | Synthesize.Trivial -> "trivial"
     | Synthesize.Failed reason -> Printf.sprintf "failed (%s)" reason
   in
-  (* One JSON row from the canonical (sequential) results. *)
-  let emit ~wall (rs : Rewrite.rewrite_result list) =
+  (* The row of the canonical (sequential) run; the parallel run has none. *)
+  let emit _kind ~wall (rs : Rewrite.rewrite_result list) =
     List.iter2
       (fun (s : Qgen.suite_query) r ->
         Printf.printf "  %2d %-6s target=%-9s %s\n" s.Qgen.sid s.Qgen.label
@@ -960,32 +872,10 @@ let run_suite () =
       queries rs;
     let stats = List.map (fun (r : Rewrite.rewrite_result) -> r.Rewrite.stats) rs in
     let count f = List.length (List.filter f stats) in
-    let valid = count Synthesize.is_valid_outcome in
-    let optimal = count Synthesize.is_optimal_outcome in
-    let trivial =
-      count (fun s -> s.Synthesize.outcome = Synthesize.Trivial)
+    let count_audit f =
+      List.length (List.filter (fun (r : Rewrite.rewrite_result) -> f r.Rewrite.audit) rs)
     in
-    let failed =
-      count (fun s ->
-          match s.Synthesize.outcome with Synthesize.Failed _ -> true | _ -> false)
-    in
-    let audit_passed =
-      List.length
-        (List.filter (fun (r : Rewrite.rewrite_result) -> r.Rewrite.audit = Rewrite.Audit_passed) rs)
-    in
-    let audit_failed =
-      List.length
-        (List.filter
-           (fun (r : Rewrite.rewrite_result) ->
-             match r.Rewrite.audit with Rewrite.Audit_failed _ -> true | _ -> false)
-           rs)
-    in
-    let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 stats in
-    let sv =
-      List.fold_left
-        (fun acc (s : Synthesize.stats) -> Solver.stats_add acc s.Synthesize.solver)
-        Solver.stats_zero stats
-    in
+    let sv = solver_total stats in
     let feats =
       List.fold_left
         (fun acc (s : Qgen.suite_query) ->
@@ -996,397 +886,64 @@ let run_suite () =
        the SF-1 smoke scale factor, so a suite row documents both sides
        of the bench (queries and data). *)
     let table_rows =
-      String.concat ","
-        (List.map
-           (fun (name, (t : Sia_engine.Table.t)) ->
-             Printf.sprintf "\"rows_%s\":%d" name t.Sia_engine.Table.nrows)
-           (Tpch.generate_all ~sf:(sf_one ()) ()))
+      List.map
+        (fun (name, (t : Sia_engine.Table.t)) -> ("rows_" ^ name, int t.Sia_engine.Table.nrows))
+        (Tpch.generate_all ~sf:(sf_one ()) ())
     in
-    let json =
-      Printf.sprintf
-        "{\"bench\":\"suite\",\"queries\":%d,\"templates\":%d,\"variants\":%d,\"valid\":%d,\"optimal\":%d,\"trivial\":%d,\"failed\":%d,\"wall_s\":%.3f,\"gen_cpu_s\":%.3f,\"learn_cpu_s\":%.3f,\"verify_cpu_s\":%.3f,\"n_in\":%d,\"n_between\":%d,\"n_case\":%d,\"n_like\":%d,\"n_isnull\":%d,\"n_string_eq\":%d,%s,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_reused_rounds\":%d,\"solver_extended_rounds\":%d,\"solver_rebuilds\":%d,\"solver_conflicts\":%d,\"solver_pivots\":%d,\"paranoid\":%b,\"cert_rejections\":%d,\"audit_passed\":%d,\"audit_failed\":%d,\"jobs_requested\":%d}"
-        (List.length queries)
-        (List.length queries / max 1 variants)
-        variants valid optimal trivial failed wall
-        (sum (fun s -> s.Synthesize.gen_time))
-        (sum (fun s -> s.Synthesize.learn_time))
-        (sum (fun s -> s.Synthesize.verify_time))
-        feats.Qgen.f_in feats.Qgen.f_between feats.Qgen.f_case feats.Qgen.f_like
-        feats.Qgen.f_isnull feats.Qgen.f_string_eq table_rows
-        sv.Solver.queries sv.Solver.cache_hits sv.Solver.theory_rounds
-        sv.Solver.reused_rounds sv.Solver.extended_rounds
-        sv.Solver.tableau_rebuilds sv.Solver.conflicts sv.Solver.pivots
-        !paranoid sv.Solver.cert_rejections audit_passed audit_failed jobs
+    let row =
+      Json.Obj
+        ([
+           ("bench", Json.Str "suite");
+           ("queries", int (List.length queries));
+           ("templates", int (List.length queries / max 1 variants));
+           ("variants", int variants);
+           ("valid", int (count Synthesize.is_valid_outcome));
+           ("optimal", int (count Synthesize.is_optimal_outcome));
+           ("trivial", int (count (fun s -> s.Synthesize.outcome = Synthesize.Trivial)));
+           ( "failed",
+             int
+               (count (fun s ->
+                    match s.Synthesize.outcome with Synthesize.Failed _ -> true | _ -> false))
+           );
+           ("wall_s", Json.Num wall);
+         ]
+        @ cpu_fields stats
+        @ [
+            ("n_in", int feats.Qgen.f_in);
+            ("n_between", int feats.Qgen.f_between);
+            ("n_case", int feats.Qgen.f_case);
+            ("n_like", int feats.Qgen.f_like);
+            ("n_isnull", int feats.Qgen.f_isnull);
+            ("n_string_eq", int feats.Qgen.f_string_eq);
+          ]
+        @ table_rows
+        @ [
+            ("solver_queries", int sv.Solver.queries);
+            ("solver_cache_hits", int sv.Solver.cache_hits);
+            ("solver_theory_rounds", int sv.Solver.theory_rounds);
+            ("solver_reused_rounds", int sv.Solver.reused_rounds);
+            ("solver_extended_rounds", int sv.Solver.extended_rounds);
+            ("solver_rebuilds", int sv.Solver.tableau_rebuilds);
+            ("solver_conflicts", int sv.Solver.conflicts);
+            ("solver_pivots", int sv.Solver.pivots);
+            ("paranoid", Json.Bool !paranoid);
+            ("cert_rejections", int sv.Solver.cert_rejections);
+            ("audit_passed", int (count_audit (fun a -> a = Rewrite.Audit_passed)));
+            ( "audit_failed",
+              int (count_audit (function Rewrite.Audit_failed _ -> true | _ -> false)) );
+            ("jobs_requested", int !jobs_n);
+          ])
     in
     Format.printf "solver: %a@." Solver.pp_stats sv;
-    print_endline json;
-    (valid, optimal, sum (fun s -> s.Synthesize.gen_time), sv)
+    print_endline (Json.to_string row);
+    row
   in
-  (* --dump-sql FILE: one rendered synthesized predicate per attempt, in
-     suite order, from the sequential (canonical) run — the byte-diff
-     anchor for comparing rewritten SQL across builds over the full
-     grammar. *)
-  let dump_rendered rs =
-    Option.iter
-      (fun file ->
-        let oc = open_out file in
-        List.iter
-          (fun r ->
-            output_string oc (render r);
-            output_char oc '\n')
-          rs;
-        close_out oc;
-        Printf.printf "rewritten SQL dumped to %s (%d attempts)\n" file
-          (List.length rs))
-      !dump_sql
-  in
-  if jobs <= 1 then begin
-    let rs, wall = run 1 in
-    let valid, optimal, gen_cpu, sv = emit ~wall rs in
-    dump_rendered rs;
-    Option.iter
-      (check_baseline ~tag:"suite" ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file
-  end
-  else begin
-    (* Parallel first so the forked workers start from a cold memo cache
-       (same discipline as "bench"). *)
-    let pr, pwall = run jobs in
-    let sr, swall = run 1 in
-    let flags (r : Rewrite.rewrite_result) =
-      ( Synthesize.is_valid_outcome r.Rewrite.stats,
-        Synthesize.is_optimal_outcome r.Rewrite.stats )
-    in
-    let valid, optimal, gen_cpu, sv = emit ~wall:swall sr in
-    dump_rendered sr;
-    Option.iter
-      (check_baseline ~tag:"suite" ~valid ~optimal ~gen_cpu ~sv)
-      !baseline_file;
-    let preds_p = List.map render pr and preds_s = List.map render sr in
-    if preds_p = preds_s && List.map flags pr = List.map flags sr then
-      Printf.printf
-        "differential: %d-worker output identical to sequential (%d attempts, %.2fx)\n"
-        jobs (List.length tasks) (swall /. Float.max 1e-9 pwall)
-    else begin
-      Printf.printf "!! parallel/sequential mismatch:\n";
-      List.iteri
-        (fun i (p, s) ->
-          if p <> s then
-            Printf.printf "  attempt %d: jobs=%d %s | jobs=1 %s\n" i jobs p s)
-        (List.combine preds_p preds_s);
-      exit 1
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Serve-mode load generator                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* bench serve-load (or --serve-load): fork the sia serve daemon, replay
-   a skewed template distribution against it over N client connections,
-   and report client-side latency percentiles, throughput and the
-   rewrite-cache hit rate as one JSON row (append to
-   BENCH_synthesis.json). With --dump-sql FILE it first drives every
-   attempt of the perf workload through a cold daemon in attempt order
-   and byte-diffs the rendered predicates against the sequential batch
-   reference (written to FILE and FILE.batch) — exit 1 on divergence. *)
-
-let serve_connections = ref 2
-let serve_requests = ref 240
-
-(* One load-generator connection: at most one in-flight request, so the
-   decoder never holds more than one reply frame. *)
-type load_conn = {
-  lfd : Unix.file_descr;
-  ldec : Sia_serve.Protocol.decoder;
-  mutable inflight : int; (* request index, -1 when idle *)
-  mutable sent_at : float;
-}
-
-(* Nearest-rank percentile over a sorted array. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
-let run_serve_load () =
-  let module Protocol = Sia_serve.Protocol in
-  let module Client = Sia_serve.Client in
-  header
-    (Printf.sprintf "serve-load: %d requests over %d connections (JSON)"
-       !serve_requests !serve_connections);
-  let n = env_int "SIA_PERF_QUERIES" (if !smoke then 4 else 12) in
-  let queries = Qgen.generate ~seed:42 ~count:n () in
-  let subsets = Qgen.column_subsets 1 @ Qgen.column_subsets 2 in
-  let tagged =
-    List.concat_map
-      (fun (gq : Qgen.gen_query) -> List.map (fun s -> (gq, s)) subsets)
-      queries
-  in
-  let templates =
-    Array.of_list
-      (List.map
-         (fun ((gq : Qgen.gen_query), cols) ->
-           (Printer.string_of_query gq.Qgen.query, cols))
-         tagged)
-  in
-  (* Served answers must match batch mode bit for bit, so — exactly like
-     the --jobs differential — the wall-clock budget is dropped: a
-     timeout firing in one run but not the other is the one
-     nondeterminism source the comparison cannot control for. *)
-  let cfg =
-    { Config.default with Config.time_budget = None; Config.paranoid = !paranoid }
-  in
-  let render st =
-    match Synthesize.predicate st with
-    | Some p -> Printer.string_of_pred p
-    | None -> "-"
-  in
-  (* Sequential batch reference for the differential (--dump-sql): cold
-     caches, jobs=1 — the daemon starts equally cold, so the warm-up
-     pass below must reproduce these predicates byte for byte. *)
-  let batch_ref =
-    match !dump_sql with
-    | None -> None
-    | Some file ->
-      let attempts =
-        List.map
-          (fun ((gq : Qgen.gen_query), s) ->
-            {
-              Synthesize.from = gq.Qgen.query.Ast.from;
-              pred = gq.Qgen.pred;
-              target_cols = s;
-            })
-          tagged
-      in
-      Solver.reset_caches ();
-      let b =
-        Synthesize.synthesize_batch ~cfg:{ cfg with Config.jobs = 1 }
-          Schema.tpch attempts
-      in
-      Some (file, List.map render b.Synthesize.results)
-  in
-  (* Skewed replay: template rank r in a seeded shuffle is drawn with
-     weight 1/(r+1) — Zipf-ish, so a hot subset dominates like a
-     plan-cache workload. Templates the warm-up pass saw fail keep
-     their rank at 1/20 weight: a production client stops asking for
-     rewrites that keep failing, and failures are never cached, so a
-     failed template landing in a hot rank would measure the solver,
-     not the cache. The failure set is deterministic per workload:
-     same seed, same plan. *)
-  let rng = Random.State.make [| 0x51a; n; !serve_requests |] in
-  let t_count = Array.length templates in
-  let ranks = Array.init t_count Fun.id in
-  for i = t_count - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = ranks.(i) in
-    ranks.(i) <- ranks.(j);
-    ranks.(j) <- tmp
-  done;
-  let make_plan failed =
-    let cum = Array.make t_count 0.0 in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun i _ ->
-        let w = if failed.(ranks.(i)) then 0.05 else 1.0 in
-        total := !total +. (w /. float_of_int (i + 1));
-        cum.(i) <- !total)
-      cum;
-    let sample () =
-      let x = Random.State.float rng !total in
-      let rec bs lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if cum.(mid) < x then bs (mid + 1) hi else bs lo mid
-      in
-      ranks.(bs 0 (t_count - 1))
-    in
-    Array.init !serve_requests (fun _ -> sample ())
-  in
-  let lat = Array.make !serve_requests 0.0 in
-  let cached = ref 0 and errors = ref 0 in
-  let failed_templates = ref 0 in
-  let fail_reasons = ref [] in (* (template index, outcome), warm-up order *)
-  let daemon_stats = ref "" in
-  let wall =
-    try
-    Client.with_daemon ~cfg @@ fun path ->
-    (* Warm-up: every template once, serially, in attempt order. This
-       populates the rewrite cache (the timed replay below measures
-       steady-state serving), records which templates fail, and — under
-       --dump-sql — is the served side of the serve/batch byte-diff
-       (the daemon starts cold, like the batch reference). *)
-    let failed = Array.make t_count false in
-    let served =
-      let c = Client.connect path in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      List.mapi
-        (fun i (sql, cols) ->
-          match
-            Client.request ~timeout:300. c
-              (Protocol.Rewrite { target = Protocol.Cols cols; sql })
-          with
-          | Protocol.Rewritten r ->
-            if String.starts_with ~prefix:"failed" r.Protocol.outcome then begin
-              failed.(i) <- true;
-              fail_reasons := (i, r.Protocol.outcome) :: !fail_reasons
-            end;
-            r.Protocol.pred
-          | Protocol.Error_reply e ->
-            Printf.eprintf "serve-load: daemon error: %s\n" e;
-            raise Exit
-          | _ ->
-            Printf.eprintf "serve-load: unexpected reply kind\n";
-            raise Exit)
-        (Array.to_list templates)
-    in
-    failed_templates :=
-      Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 failed;
-    (match batch_ref with
-     | None -> ()
-     | Some (file, batch) ->
-       let write f lines =
-         let oc = open_out f in
-         List.iter
-           (fun l ->
-             output_string oc l;
-             output_char oc '\n')
-           lines;
-         close_out oc
-       in
-       write file served;
-       write (file ^ ".batch") batch;
-       if served <> batch then begin
-         Printf.eprintf "!! serve/batch divergence:\n";
-         List.iteri
-           (fun i (s, b) ->
-             if s <> b then
-               Printf.eprintf "  attempt %d: serve %s | batch %s\n" i s b)
-           (List.combine served batch);
-         raise Exit
-       end;
-       Printf.printf
-         "serve differential: %d attempts byte-identical to batch (%s, %s.batch)\n%!"
-         (List.length batch) file file);
-    let plan = make_plan failed in
-    let conns =
-      Array.init (max 1 !serve_connections) (fun _ ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          { lfd = fd; ldec = Protocol.decoder (); inflight = -1; sent_at = 0.0 })
-    in
-    let next = ref 0 and finished = ref 0 in
-    let buf = Bytes.create 65536 in
-    let t0 = Unix.gettimeofday () in
-    while !finished < !serve_requests do
-      Array.iter
-        (fun c ->
-          if c.inflight < 0 && !next < !serve_requests then begin
-            let sql, cols = templates.(plan.(!next)) in
-            c.inflight <- !next;
-            incr next;
-            c.sent_at <- Unix.gettimeofday ();
-            let tag, payload =
-              Protocol.encode_request
-                (Protocol.Rewrite { target = Protocol.Cols cols; sql })
-            in
-            Protocol.write_frame c.lfd tag payload
-          end)
-        conns;
-      let busy =
-        Array.to_list conns
-        |> List.filter_map (fun c ->
-               if c.inflight >= 0 then Some c.lfd else None)
-      in
-      match Unix.select busy [] [] 300.0 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ ->
-        Printf.eprintf "serve-load: daemon stalled (no reply in 300 s)\n";
-        exit 1
-      | ready, _, _ ->
-        List.iter
-          (fun fd ->
-            let c = List.find (fun c -> c.lfd = fd) (Array.to_list conns) in
-            (match Unix.read c.lfd buf 0 (Bytes.length buf) with
-             | 0 ->
-               Printf.eprintf "serve-load: daemon closed the connection\n";
-               exit 1
-             | r -> Protocol.feed c.ldec buf 0 r
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            match Protocol.next c.ldec with
-            | `Awaiting -> ()
-            | `Frame (tag, payload) ->
-              lat.(c.inflight) <- Unix.gettimeofday () -. c.sent_at;
-              c.inflight <- -1;
-              incr finished;
-              (match Protocol.decode_response tag payload with
-               | Ok (Protocol.Rewritten reply) ->
-                 if reply.Protocol.cached then incr cached
-               | Ok (Protocol.Error_reply e) ->
-                 incr errors;
-                 Printf.eprintf "serve-load: error reply: %s\n" e
-               | Ok _ | Error _ -> incr errors))
-          ready
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    (let c = Client.connect path in
-     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-     match Client.request c Protocol.Stats with
-     | Protocol.Stats_reply json -> daemon_stats := json
-     | _ -> ());
-    Array.iter
-      (fun c -> try Unix.close c.lfd with Unix.Unix_error _ -> ())
-      conns;
-    wall
-    with Exit -> exit 1
-  in
-  let sorted = Array.copy lat in
-  Array.sort Float.compare sorted;
-  let pct q = percentile sorted q *. 1000.0 in
-  let hit_rate = float_of_int !cached /. float_of_int (max 1 !serve_requests) in
-  let dfield name =
-    match json_int_field !daemon_stats name with Some v -> v | None -> -1
-  in
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"serve\",\"queries\":%d,\"templates\":%d,\"failed_templates\":%d,\"failed_template_reasons\":[%s],\"requests\":%d,\"connections\":%d,\"wall_s\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"cache_hit_rate\":%.3f,\"cached_replies\":%d,\"errors\":%d,\"daemon_cache_hits\":%d,\"daemon_cache_misses\":%d,\"daemon_cache_insertions\":%d,\"daemon_cache_entries\":%d,\"daemon_solver_queries\":%d,\"daemon_solver_cache_hits\":%d,\"daemon_text_memo_hits\":%d,\"paranoid\":%b}"
-      n t_count !failed_templates
-      (String.concat ","
-         (List.rev_map
-            (fun (i, reason) ->
-              Printf.sprintf "{\"template\":%d,\"reason\":\"%s\"}" i
-                (json_escape reason))
-            !fail_reasons))
-      !serve_requests !serve_connections wall
-      (float_of_int !serve_requests /. Float.max 1e-9 wall)
-      (pct 0.50) (pct 0.95) (pct 0.99) hit_rate !cached !errors
-      (dfield "cache_hits") (dfield "cache_misses")
-      (dfield "cache_insertions") (dfield "cache_entries")
-      (dfield "solver_queries") (dfield "solver_cache_hits")
-      (dfield "text_memo_hits") !paranoid
-  in
-  print_endline json;
-  if !errors > 0 then begin
-    Printf.eprintf "!! serve-load: %d error replies\n" !errors;
-    exit 1
-  end;
-  if hit_rate <= 0.5 then begin
-    Printf.eprintf
-      "!! serve-load: cache hit rate %.3f <= 0.5 — the hot template set is \
-       not being served from cache\n"
-      hit_rate;
-    exit 1
-  end;
-  (* Every replayed cache hit repeats a text the warm-up sent, so it
-     must also have skipped parsing and keying via the request memo. *)
-  if !cached > 0 && dfield "text_memo_hits" < 1 then begin
-    Printf.eprintf
-      "!! serve-load: %d cached replies but no request-memo hits — the \
-       daemon's repeated-text fast path is not being taken\n"
-      !cached;
-    exit 1
-  end
+  differential
+    ~run:(fun j -> Rewrite.rewrite_all ~cfg:{ cfg with Config.jobs = j } Schema.tpch tasks)
+    ~results:Fun.id
+    ~pred:(fun (r : Rewrite.rewrite_result) -> r.Rewrite.synthesized)
+    ~stats:(fun (r : Rewrite.rewrite_result) -> r.Rewrite.stats)
+    ~emit ()
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (bechamel)                                          *)
@@ -1509,7 +1066,7 @@ let run_micro () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Numeric-layer throughput (bench --numeric)                           *)
+(* Numeric-layer throughput                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Ops/sec over the three operand regimes the [Bigint] representation
@@ -1578,7 +1135,7 @@ let run_numeric () =
       List.iter
         (fun (op, rate) ->
           Printf.printf "  bigint %-5s %-8s %12.2e ops/s\n%!" name op rate;
-          fields := Printf.sprintf "\"bigint_%s_%s\":%.3e" name op rate :: !fields)
+          fields := (Printf.sprintf "bigint_%s_%s" name op, Json.Num rate) :: !fields)
         ops)
     regimes;
   (* Rat: both-int fast path vs big-component rationals. *)
@@ -1613,11 +1170,12 @@ let run_numeric () =
       List.iter
         (fun (op, rate) ->
           Printf.printf "  rat    %-5s %-8s %12.2e ops/s\n%!" name op rate;
-          fields := Printf.sprintf "\"rat_%s_%s\":%.3e" name op rate :: !fields)
+          fields := (Printf.sprintf "rat_%s_%s" name op, Json.Num rate) :: !fields)
         ops)
     [ ("small", small); ("big", big) ];
-  Printf.printf "{\"bench\":\"numeric\",\"ops\":%d,%s}\n" n_ops
-    (String.concat "," (List.rev !fields))
+  print_endline
+    (Json.to_string
+       (Json.Obj (("bench", Json.Str "numeric") :: ("ops", int n_ops) :: List.rev !fields)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1652,9 +1210,6 @@ let () =
     | "--dump-sql" :: [] ->
       Printf.eprintf "--dump-sql expects an output file\n";
       exit 1
-    | "--numeric" :: rest ->
-      numeric_flag := true;
-      parse rest
     | "--trace" :: f :: rest ->
       trace_file := Some f;
       parse rest
@@ -1664,26 +1219,8 @@ let () =
     | "--metrics" :: rest ->
       metrics := true;
       parse rest
-    | "--serve-load" :: rest -> "serve-load" :: parse rest
-    | "--connections" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some c when c >= 1 -> serve_connections := c
-       | Some _ | None ->
-         Printf.eprintf "--connections expects a positive integer, got %s\n" v;
-         exit 1);
-      parse rest
-    | "--connections" :: [] ->
-      Printf.eprintf "--connections expects a client count\n";
-      exit 1
-    | "--requests" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some r when r >= 1 -> serve_requests := r
-       | Some _ | None ->
-         Printf.eprintf "--requests expects a positive integer, got %s\n" v;
-         exit 1);
-      parse rest
-    | "--requests" :: [] ->
-      Printf.eprintf "--requests expects a request count\n";
+    | a :: _ when String.starts_with ~prefix:"--" a ->
+      Printf.eprintf "unknown option %s\n" a;
       exit 1
     | a :: rest -> a :: parse rest
   in
@@ -1710,9 +1247,8 @@ let () =
    | "fig9" | "table4" -> run_fig9 ()
    | "limits" -> run_limits ()
    | "ablation" -> run_ablation ()
-   | "bench" | "perf" -> if !numeric_flag then run_numeric () else run_perf ()
+   | "bench" | "perf" -> run_perf ()
    | "suite" -> run_suite ()
-   | "serve-load" -> run_serve_load ()
    | "numeric" -> run_numeric ()
    | "micro" -> run_micro ()
    | "all" ->
@@ -1728,7 +1264,7 @@ let () =
      run_micro ()
    | other ->
      Printf.eprintf
-       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|serve-load|numeric|micro|all)\n"
+       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|numeric|micro|all)\n"
        other;
      exit 1);
   (match !trace_file with

@@ -4,6 +4,7 @@ module Printer = Sia_sql.Printer
 module Schema = Sia_relalg.Schema
 module Solver = Sia_smt.Solver
 module Trace = Sia_trace.Trace
+module Json = Sia_trace.Json
 open Sia_core
 
 type config = {
@@ -230,12 +231,26 @@ let handle_rewrite state target sql =
 let stats_json state =
   let c = Cache.stats state.cache in
   let sv = Rewrite.Hot.solver_delta state.hot in
-  Printf.sprintf
-    "{\"serve\":\"stats\",\"requests\":%d,\"uptime_s\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_insertions\":%d,\"cache_expirations\":%d,\"cache_invalidations\":%d,\"cache_entries\":%d,\"solver_queries\":%d,\"solver_cache_hits\":%d,\"solver_theory_rounds\":%d,\"solver_pivots\":%d,\"text_memo_hits\":%d,\"text_memo_entries\":%d}"
-    state.requests (state.uptime ()) c.Cache.hits c.Cache.misses
-    c.Cache.insertions c.Cache.expirations c.Cache.invalidations c.Cache.entries
-    sv.Solver.queries sv.Solver.cache_hits sv.Solver.theory_rounds
-    sv.Solver.pivots state.memo_hits (Hashtbl.length state.memo)
+  let int n = Json.Num (float_of_int n) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("serve", Json.Str "stats");
+         ("requests", int state.requests);
+         ("uptime_s", Json.Num (state.uptime ()));
+         ("cache_hits", int c.Cache.hits);
+         ("cache_misses", int c.Cache.misses);
+         ("cache_insertions", int c.Cache.insertions);
+         ("cache_expirations", int c.Cache.expirations);
+         ("cache_invalidations", int c.Cache.invalidations);
+         ("cache_entries", int c.Cache.entries);
+         ("solver_queries", int sv.Solver.queries);
+         ("solver_cache_hits", int sv.Solver.cache_hits);
+         ("solver_theory_rounds", int sv.Solver.theory_rounds);
+         ("solver_pivots", int sv.Solver.pivots);
+         ("text_memo_hits", int state.memo_hits);
+         ("text_memo_entries", int (Hashtbl.length state.memo));
+       ])
 
 (* Returns the response and whether the daemon should stop. *)
 let handle state req =

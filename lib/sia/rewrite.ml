@@ -315,43 +315,13 @@ module Hot = struct
   let solver_delta t = t.solver_delta
 end
 
-(* Batched rewriting with the same sharding discipline as
-   [Synthesize.synthesize_batch]: tasks on the same query share a worker,
-   results come back in submission order, worker solver deltas are folded
-   into this process's totals. *)
+(* Batched rewriting on [Synthesize.map_sharded], sharded by the
+   (from, pred) pair synthesis sees — the model-pool family key — so one
+   query's tasks run on one worker in submission order. *)
 let rewrite_all ?cfg cat tasks =
   let cfg = Option.value cfg ~default:Config.default in
-  (* See [Synthesize.synthesize_batch]: the parent must be enabled for
-     the pool to absorb the forked workers' trace events. *)
-  if cfg.Config.trace then Trace.enable ();
-  let run (q, target_cols) = rewrite_for_columns ~cfg cat q ~target_cols in
-  (* Shard by the (from, pred) pair synthesis sees — the model-pool
-     family key — so one query's tasks run on one worker in submission
-     order. Cap the fork width like [synthesize_batch] does. *)
-  let group_of, jobs =
-    Synthesize.plan_shards ~requested:cfg.Config.jobs tasks (fun (q, _) ->
-        (q.Ast.from, non_join_pred cat q))
-  in
-  if jobs <= 1 then List.map run tasks
-  else begin
-    let baseline = Solver.stats () in
-    let results, summary =
-      Sia_pool.Pool.map ~jobs
-        ~shard:(fun i _ -> group_of.(i))
-        ~epilogue:(fun () -> Solver.stats_since baseline)
-        run tasks
-    in
-    List.iter Solver.absorb_stats summary.Sia_pool.Pool.epilogues;
-    if Trace.enabled () then
-      List.iteri
-        (fun i (s : Solver.stats) ->
-          Trace.counter ~tid:(i + 1) "worker.solver"
-            [
-              ("queries", float_of_int s.Solver.queries);
-              ("cache_hits", float_of_int s.Solver.cache_hits);
-              ("theory_rounds", float_of_int s.Solver.theory_rounds);
-              ("pivots", float_of_int s.Solver.pivots);
-            ])
-        summary.Sia_pool.Pool.epilogues;
-    results
-  end
+  fst
+    (Synthesize.map_sharded ~cfg
+       (fun (q, _) -> (q.Ast.from, non_join_pred cat q))
+       (fun (q, target_cols) -> rewrite_for_columns ~cfg cat q ~target_cols)
+       tasks)

@@ -424,46 +424,38 @@ let plan_shards ~requested attempts keys =
   in
   (group_of, jobs)
 
-let synthesize_batch ?(cfg = Config.default) catalog attempts =
-  (* Enable tracing in this process too, not only inside the attempts:
+(* Run [run] over [tasks] on up to [cfg.jobs] forked workers, sharded by
+   [key] as [plan_shards] says, or in process when one worker suffices.
+   Results come back in submission order. Each worker's solver delta is
+   folded into this process's totals and, when tracing, sampled on the
+   worker's lane, so the trace says which worker did how much solver
+   work. The in-process run reports itself as one worker. *)
+let map_sharded ~cfg key run tasks =
+  (* Enable tracing in this process too, not only inside the tasks:
      forked workers inherit the flag (so they collect events at all), and
      the parent must be enabled for [Pool] to absorb them back. *)
   if cfg.Config.trace then Trace.enable ();
-  let run a =
-    synthesize ~cfg catalog ~from:a.from ~pred:a.pred ~target_cols:a.target_cols
-  in
-  let requested = cfg.Config.jobs in
-  let group_of, jobs =
-    plan_shards ~requested attempts (fun a -> (a.from, a.pred))
-  in
+  let group_of, jobs = plan_shards ~requested:cfg.Config.jobs tasks key in
+  let baseline = Solver.stats () in
   if jobs <= 1 then begin
-    let solver0 = Solver.stats () in
     let t0 = Unix.gettimeofday () in
-    let results = List.map run attempts in
-    {
-      results;
-      jobs = 1;
-      jobs_requested = requested;
-      worker_tasks = [ List.length attempts ];
-      worker_wall = [ Unix.gettimeofday () -. t0 ];
-      worker_solver = [ Solver.stats_since solver0 ];
-    }
+    let results = List.map run tasks in
+    ( results,
+      {
+        Pool.jobs = 1;
+        per_worker_tasks = [ List.length tasks ];
+        per_worker_wall = [ Unix.gettimeofday () -. t0 ];
+        epilogues = [ Solver.stats_since baseline ];
+      } )
   end
   else begin
-    (* The epilogue ships each worker's solver-stats delta back; absorbing
-       the deltas keeps the parent's global counters truthful about work
-       done on its behalf. *)
-    let baseline = Solver.stats () in
     let results, summary =
       Pool.map ~jobs
         ~shard:(fun i _ -> group_of.(i))
         ~epilogue:(fun () -> Solver.stats_since baseline)
-        run attempts
+        run tasks
     in
     List.iter Solver.absorb_stats summary.Pool.epilogues;
-    (* Per-worker attribution: a counter sample on each worker's trace
-       lane, so the trace (and the bench row built from [batch]) can say
-       which worker did how much solver work. *)
     if Trace.enabled () then
       List.iteri
         (fun i (s : Solver.stats) ->
@@ -475,12 +467,19 @@ let synthesize_batch ?(cfg = Config.default) catalog attempts =
               ("pivots", float_of_int s.Solver.pivots);
             ])
         summary.Pool.epilogues;
-    {
-      results;
-      jobs = summary.Pool.jobs;
-      jobs_requested = requested;
-      worker_tasks = summary.Pool.per_worker_tasks;
-      worker_wall = summary.Pool.per_worker_wall;
-      worker_solver = summary.Pool.epilogues;
-    }
+    (results, summary)
   end
+
+let synthesize_batch ?(cfg = Config.default) catalog attempts =
+  let run a =
+    synthesize ~cfg catalog ~from:a.from ~pred:a.pred ~target_cols:a.target_cols
+  in
+  let results, summary = map_sharded ~cfg (fun a -> (a.from, a.pred)) run attempts in
+  {
+    results;
+    jobs = summary.Pool.jobs;
+    jobs_requested = cfg.Config.jobs;
+    worker_tasks = summary.Pool.per_worker_tasks;
+    worker_wall = summary.Pool.per_worker_wall;
+    worker_solver = summary.Pool.epilogues;
+  }

@@ -68,12 +68,19 @@ type attempt = {
 }
 (** One synthesis task, mirroring {!synthesize}'s labelled arguments. *)
 
-val plan_shards :
-  requested:int -> 'a list -> ('a -> 'b) -> int array * int
-(** [plan_shards ~requested tasks key] numbers each task's shard group
-    (same [key] → same group, first-occurrence order) and returns the
-    effective worker count: [requested] capped by the number of groups
-    and by {!Sia_pool.Pool.online_cores}. Shared with
+val map_sharded :
+  cfg:Config.t ->
+  ('a -> 'k) ->
+  ('a -> 'b) ->
+  'a list ->
+  'b list * Sia_smt.Solver.stats Sia_pool.Pool.summary
+(** [map_sharded ~cfg key run tasks] runs [run] over [tasks] on up to
+    {!Config.t.jobs} forked workers. Tasks with the same [key] share a
+    worker, in submission order; the worker count is also capped by the
+    number of keys and by {!Sia_pool.Pool.online_cores}, and one worker
+    means no fork at all. Results are in submission order. The summary's
+    epilogues are each worker's solver delta, already absorbed into this
+    process's {!Sia_smt.Solver.stats}. Shared by {!synthesize_batch} and
     {!Rewrite.rewrite_all}. *)
 
 type batch = {

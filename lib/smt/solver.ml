@@ -103,38 +103,42 @@ let totals = ref stats_zero
 let stats () = !totals
 let reset_stats () = totals := stats_zero
 
-let stats_add a b =
+(* Field-wise combination of two stats records: [i] on the counters, [f]
+   on the times. Sums and deltas are both this walk. *)
+let stats_map2 i f a b =
   {
-    queries = a.queries + b.queries;
-    sat_answers = a.sat_answers + b.sat_answers;
-    unsat_answers = a.unsat_answers + b.unsat_answers;
-    unknown_answers = a.unknown_answers + b.unknown_answers;
-    cache_hits = a.cache_hits + b.cache_hits;
-    encodings = a.encodings + b.encodings;
-    instances = a.instances + b.instances;
-    theory_rounds = a.theory_rounds + b.theory_rounds;
-    conflicts = a.conflicts + b.conflicts;
-    propagations = a.propagations + b.propagations;
-    restarts = a.restarts + b.restarts;
-    pivots = a.pivots + b.pivots;
-    tableau_rebuilds = a.tableau_rebuilds + b.tableau_rebuilds;
-    reused_rounds = a.reused_rounds + b.reused_rounds;
-    extended_rounds = a.extended_rounds + b.extended_rounds;
-    shared_hits = a.shared_hits + b.shared_hits;
-    shared_misses = a.shared_misses + b.shared_misses;
-    pool_hits = a.pool_hits + b.pool_hits;
-    underapprox_solves = a.underapprox_solves + b.underapprox_solves;
-    gen_fallbacks = a.gen_fallbacks + b.gen_fallbacks;
-    cegqi_instantiations = a.cegqi_instantiations + b.cegqi_instantiations;
-    encode_time = a.encode_time +. b.encode_time;
-    search_time = a.search_time +. b.search_time;
-    theory_time = a.theory_time +. b.theory_time;
-    cert_lemmas = a.cert_lemmas + b.cert_lemmas;
-    cert_proofs = a.cert_proofs + b.cert_proofs;
-    cert_models = a.cert_models + b.cert_models;
-    cert_rejections = a.cert_rejections + b.cert_rejections;
-    cert_time = a.cert_time +. b.cert_time;
+    queries = i a.queries b.queries;
+    sat_answers = i a.sat_answers b.sat_answers;
+    unsat_answers = i a.unsat_answers b.unsat_answers;
+    unknown_answers = i a.unknown_answers b.unknown_answers;
+    cache_hits = i a.cache_hits b.cache_hits;
+    encodings = i a.encodings b.encodings;
+    instances = i a.instances b.instances;
+    theory_rounds = i a.theory_rounds b.theory_rounds;
+    conflicts = i a.conflicts b.conflicts;
+    propagations = i a.propagations b.propagations;
+    restarts = i a.restarts b.restarts;
+    pivots = i a.pivots b.pivots;
+    tableau_rebuilds = i a.tableau_rebuilds b.tableau_rebuilds;
+    reused_rounds = i a.reused_rounds b.reused_rounds;
+    extended_rounds = i a.extended_rounds b.extended_rounds;
+    shared_hits = i a.shared_hits b.shared_hits;
+    shared_misses = i a.shared_misses b.shared_misses;
+    pool_hits = i a.pool_hits b.pool_hits;
+    underapprox_solves = i a.underapprox_solves b.underapprox_solves;
+    gen_fallbacks = i a.gen_fallbacks b.gen_fallbacks;
+    cegqi_instantiations = i a.cegqi_instantiations b.cegqi_instantiations;
+    encode_time = f a.encode_time b.encode_time;
+    search_time = f a.search_time b.search_time;
+    theory_time = f a.theory_time b.theory_time;
+    cert_lemmas = i a.cert_lemmas b.cert_lemmas;
+    cert_proofs = i a.cert_proofs b.cert_proofs;
+    cert_models = i a.cert_models b.cert_models;
+    cert_rejections = i a.cert_rejections b.cert_rejections;
+    cert_time = f a.cert_time b.cert_time;
   }
+
+let stats_add = stats_map2 ( + ) ( +. )
 
 (* Merge a delta computed elsewhere — a worker process's [stats_since]
    over its lifetime — into this process's totals. The pool calls this
@@ -142,39 +146,7 @@ let stats_add a b =
    its behalf in forked children. *)
 let absorb_stats s = totals := stats_add !totals s
 
-let stats_since s0 =
-  let s = !totals in
-  {
-    queries = s.queries - s0.queries;
-    sat_answers = s.sat_answers - s0.sat_answers;
-    unsat_answers = s.unsat_answers - s0.unsat_answers;
-    unknown_answers = s.unknown_answers - s0.unknown_answers;
-    cache_hits = s.cache_hits - s0.cache_hits;
-    encodings = s.encodings - s0.encodings;
-    instances = s.instances - s0.instances;
-    theory_rounds = s.theory_rounds - s0.theory_rounds;
-    conflicts = s.conflicts - s0.conflicts;
-    propagations = s.propagations - s0.propagations;
-    restarts = s.restarts - s0.restarts;
-    pivots = s.pivots - s0.pivots;
-    tableau_rebuilds = s.tableau_rebuilds - s0.tableau_rebuilds;
-    reused_rounds = s.reused_rounds - s0.reused_rounds;
-    extended_rounds = s.extended_rounds - s0.extended_rounds;
-    shared_hits = s.shared_hits - s0.shared_hits;
-    shared_misses = s.shared_misses - s0.shared_misses;
-    pool_hits = s.pool_hits - s0.pool_hits;
-    underapprox_solves = s.underapprox_solves - s0.underapprox_solves;
-    gen_fallbacks = s.gen_fallbacks - s0.gen_fallbacks;
-    cegqi_instantiations = s.cegqi_instantiations - s0.cegqi_instantiations;
-    encode_time = s.encode_time -. s0.encode_time;
-    search_time = s.search_time -. s0.search_time;
-    theory_time = s.theory_time -. s0.theory_time;
-    cert_lemmas = s.cert_lemmas - s0.cert_lemmas;
-    cert_proofs = s.cert_proofs - s0.cert_proofs;
-    cert_models = s.cert_models - s0.cert_models;
-    cert_rejections = s.cert_rejections - s0.cert_rejections;
-    cert_time = s.cert_time -. s0.cert_time;
-  }
+let stats_since s0 = stats_map2 ( - ) ( -. ) !totals s0
 
 let pp_stats fmt s =
   Format.fprintf fmt

@@ -182,7 +182,9 @@ type stats = {
           in place (suffix-only setup, no O(n_base) rescan) *)
   shared_hits : int;
       (** always 0: the shared-context cluster layer that counted these is
-          gone; the field stays for readers of older stats rows *)
+          gone. The field stays only because the end-to-end benchmark
+          ([e2e_bench/e2e.ml]) reads it for [smt.shared_hit_rate]; it goes
+          with the next benchmark change. *)
   shared_misses : int;  (** always 0, like [shared_hits] *)
   pool_hits : int;  (** gen samples replayed from the model pool (no solve) *)
   underapprox_solves : int;  (** constant-narrowed under-approximation queries *)
@@ -204,6 +206,7 @@ val stats_since : stats -> stats
 (** Delta between now and an earlier {!stats} snapshot. *)
 
 val stats_add : stats -> stats -> stats
+(** Field-wise sum; {!stats_since} is the field-wise difference. *)
 
 val absorb_stats : stats -> unit
 (** Merge a delta computed in another process (a pool worker's

@@ -94,10 +94,10 @@ let counter ?(tid = 0) name values =
         args = List.map (fun (k, v) -> (k, Float v)) values;
       }
 
-(* Per-request timing for serving-path callers (the [sia serve] daemon,
-   the bench load generator): the same monotonic-clamped clock the events
-   use, packaged so request handlers don't open-code gettimeofday pairs.
-   Works with tracing disabled — only deltas are meaningful then. *)
+(* Per-request timing for serving-path callers (the [sia serve] daemon):
+   the same monotonic-clamped clock the events use, packaged so request
+   handlers don't open-code gettimeofday pairs. Works with tracing
+   disabled — only deltas are meaningful then. *)
 let timer () =
   let t0 = now_us () in
   fun () -> (now_us () -. t0) /. 1e6
@@ -146,18 +146,7 @@ let absorb ~lane evs =
 
 let add_json_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Buffer.add_string b (Json.escape s);
   Buffer.add_char b '"'
 
 let add_json_float b f =

@@ -28,6 +28,7 @@ module Solver = Sia_smt.Solver
 module Qgen = Sia_workload.Qgen
 module Protocol = Sia_serve.Protocol
 module Cache = Sia_serve.Cache
+module Json = Sia_trace.Json
 module Client = Sia_serve.Client
 open Sia_core
 
@@ -353,21 +354,9 @@ let test_solver_reset_clears () =
 let stats_field c name =
   match Client.request c Protocol.Stats with
   | Protocol.Stats_reply json -> (
-    let pat = Printf.sprintf "\"%s\":" name in
-    let n = String.length pat and m = String.length json in
-    let rec find i =
-      if i + n > m then Alcotest.failf "stats lack %s: %s" name json
-      else if String.sub json i n = pat then i + n
-      else find (i + 1)
-    in
-    let start = find 0 in
-    let stop = ref start in
-    while !stop < m && json.[!stop] >= '0' && json.[!stop] <= '9' do
-      incr stop
-    done;
-    match int_of_string_opt (String.sub json start (!stop - start)) with
-    | Some v -> v
-    | None -> Alcotest.failf "stats field %s is not an int: %s" name json)
+    match Json.num (Json.member name (Json.parse json)) with
+    | Some v when Float.is_integer v -> int_of_float v
+    | Some _ | None -> Alcotest.failf "stats field %s is not an int: %s" name json)
   | _ -> Alcotest.fail "expected stats"
 
 (* A query whose lineitem conjunct also mentions orders: pushdown cannot

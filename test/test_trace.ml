@@ -2,10 +2,10 @@
    spans nest strictly per lane, a disabled trace is a true no-op (same
    rewrites, zero events), and a jobs=2 batch reassembles worker events
    into one merged trace whose per-worker lanes partition the task set.
-   A mini JSON parser validates the Chrome trace-event export without a
-   JSON dependency. *)
+   Sia_trace.Json reads the Chrome trace-event export back. *)
 
 module Trace = Sia_trace.Trace
+module Json = Sia_trace.Json
 module Ast = Sia_sql.Ast
 module Parser = Sia_sql.Parser
 module Printer = Sia_sql.Printer
@@ -177,160 +177,44 @@ let test_jobs2_merged_trace () =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal JSON parser: objects, arrays, strings (with escapes),
-   numbers, booleans. Enough to establish the export is valid JSON of
-   the Chrome trace-event shape. *)
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = Alcotest.failf "JSON parse error at %d: %s" !pos msg in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char b '"'; advance ()
-         | Some '\\' -> Buffer.add_char b '\\'; advance ()
-         | Some 'n' -> Buffer.add_char b '\n'; advance ()
-         | Some 'r' -> Buffer.add_char b '\r'; advance ()
-         | Some 't' -> Buffer.add_char b '\t'; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           Buffer.add_string b (String.sub s !pos 4);
-           pos := !pos + 4
-         | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); Obj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); List.rev ((k, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); Arr [])
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elems (v :: acc)
-          | Some ']' -> advance (); List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Arr (elems [])
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> pos := !pos + 4; Bool true
-    | Some 'f' -> pos := !pos + 5; Bool false
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        advance ()
-      done;
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-       | Some f -> Num f
-       | None -> fail "bad number")
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 let test_chrome_export () =
   fresh ();
   Trace.enable ();
-  Trace.span "outer" ~args:[ ("k", Trace.String "v\"with\\escapes\n") ]
+  let escaped = "v\"with\\escapes\n\001" in
+  Trace.span "outer" ~args:[ ("k", Trace.String escaped) ]
     (fun () -> Trace.instant "tick" ~args:[ ("n", Trace.Int 3) ]);
   Trace.counter "c" [ ("x", 1.5) ];
   Trace.set_lane_name 1 "worker 0";
-  let j = parse_json (Trace.to_chrome_string ()) in
-  match j with
-  | Obj fields -> (
-    match List.assoc_opt "traceEvents" fields with
-    | Some (Arr evs) ->
-      Alcotest.(check int) "event count" 5 (List.length evs);
-      List.iter
-        (fun ev ->
-          match ev with
-          | Obj f ->
-            List.iter
-              (fun key ->
-                Alcotest.(check bool) ("event has " ^ key) true
-                  (List.mem_assoc key f))
-              [ "name"; "cat"; "ph"; "ts"; "pid"; "tid" ]
-          | _ -> Alcotest.fail "event is not an object")
-        evs;
-      (* Instants carry the scope field Chrome requires to render them. *)
-      let is_instant = function
-        | Obj f -> List.assoc_opt "ph" f = Some (Str "i")
-        | _ -> false
-      in
-      List.iter
-        (fun ev ->
-          if is_instant ev then
-            match ev with
-            | Obj f ->
-              Alcotest.(check bool) "instant has scope" true
-                (List.assoc_opt "s" f = Some (Str "t"))
-            | _ -> ())
-        evs
-    | _ -> Alcotest.fail "traceEvents missing or not an array")
-  | _ -> Alcotest.fail "top level is not an object"
+  let j =
+    match Json.parse (Trace.to_chrome_string ()) with
+    | j -> j
+    | exception Json.Error msg -> Alcotest.failf "export is not JSON: %s" msg
+  in
+  match Json.member "traceEvents" j with
+  | Some (Json.Arr evs) ->
+    Alcotest.(check int) "event count" 5 (List.length evs);
+    List.iter
+      (fun ev ->
+        List.iter
+          (fun key ->
+            Alcotest.(check bool) ("event has " ^ key) true (Json.member key ev <> None))
+          [ "name"; "cat"; "ph"; "ts"; "pid"; "tid" ])
+      evs;
+    let field k ev = Json.str (Json.member k ev) in
+    (* Instants carry the scope field Chrome requires to render them. *)
+    List.iter
+      (fun ev ->
+        if field "ph" ev = Some "i" then
+          Alcotest.(check (option string)) "instant has scope" (Some "t") (field "s" ev))
+      evs;
+    (* The span argument's quote, backslash, newline and control byte
+       come back intact. *)
+    let outer =
+      List.find (fun ev -> field "name" ev = Some "outer" && field "ph" ev = Some "B") evs
+    in
+    Alcotest.(check (option string)) "escaped argument" (Some escaped)
+      (Option.bind (Json.member "args" outer) (fun a -> Json.str (Json.member "k" a)))
+  | _ -> Alcotest.fail "traceEvents missing or not an array"
 
 let () =
   (* The batch test forks; Alcotest must not be mid-test in the children.
