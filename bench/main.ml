@@ -567,9 +567,9 @@ type run_kind = Only | Sequential | Parallel of { seq_wall : float }
 
 (* The run "bench" and "suite" share. With --jobs 1 the workload runs
    once in process. With --jobs N it runs on N workers first and then
-   sequentially: the forked workers must not inherit a memo cache warmed
+   sequentially: the forked workers must not inherit a model pool warmed
    by the sequential reference, or the measured speedup would be
-   answering from cache (worker caches die with the workers, so the
+   replaying pooled models (worker pools die with the workers, so the
    sequential run starts equally cold). The sequential run is canonical:
    its row is gated and its predicates dumped. The parallel run must
    match it predicate for predicate and outcome for outcome, or the run

@@ -121,7 +121,7 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & flag & info [ "metrics" ]
          ~doc:"Print a per-run metrics summary (span counts and durations, \
-               memo hits, per-worker counters).")
+               per-worker counters).")
 
 let rewrite_term =
   Term.(const run_synthesize $ query_arg $ cols_arg $ table_arg $ iters_arg
@@ -170,7 +170,7 @@ let serve_cmd =
     `S Manpage.s_description;
     `P "Listens for length-prefixed protocol frames carrying SQL, answers \
         with the rewritten query and per-request statistics, and keeps \
-        solver hot state (memo cache, sample model pool) plus a \
+        solver hot state (the sample model pool) plus a \
         template-keyed rewrite cache resident between requests. Stop \
         with SIGTERM/SIGINT or a Shutdown request.";
   ] in

@@ -2,7 +2,7 @@ open Sia_smt
 module Encode = Sia_core.Encode
 module Trace = Sia_trace.Trace
 
-(* The key reuses the solver's canonical form (Key.canonical: canon
+(* The key builds on the canonical form of Key.canonical (canon
    formula, alpha-renamed vars, integrality bits) and adds back what the
    alpha-renaming abstracts away: which column each canonical variable
    stands for. Without the column names, alpha-equivalent predicates
@@ -13,7 +13,7 @@ module Trace = Sia_trace.Trace
    agree but whose conjuncts group differently over the tables, since
    only a split request can be answered without attaching anything. *)
 type key = {
-  id : Formula.t * bool list * int * int;
+  id : Formula.t * bool list;
   cols : string array;  (** canonical variable -> column name *)
   targets : string list;  (** sorted target columns *)
   splits : bool;  (** [Rewrite.pushed_pred] is [Some _] *)
@@ -38,8 +38,8 @@ module KTbl = Hashtbl.Make (struct
   type t = key
 
   let equal k1 k2 =
-    let (f1, b1, r1, n1) = k1.id and (f2, b2, r2, n2) = k2.id in
-    r1 = r2 && n1 = n2 && b1 = b2
+    let f1, b1 = k1.id and f2, b2 = k2.id in
+    b1 = b2
     && k1.cols = k2.cols
     && k1.targets = k2.targets
     && k1.splits = k2.splits
@@ -128,10 +128,7 @@ let key cat ~from ~pred ~target_cols =
       vars;
     let f = Formula.map_vars (fun v -> Hashtbl.find rank_of (Encode.var_name env v)) f in
     let is_int r = Encode.is_int_var env (Hashtbl.find orig_of r) in
-    (* The limits in a canonical id discriminate solver resource
-       budgets; a rewrite key has no budgets of its own, so both are
-       pinned to 0. *)
-    let k = Key.canonical ~is_int ~max_rounds:0 ~node_limit:0 f in
+    let k = Key.canonical ~is_int f in
     Ok
       {
         id = k.Key.id;
@@ -175,9 +172,9 @@ let sweep_expired t =
 let add t k entry =
   if not (KTbl.mem t.tbl k) && KTbl.length t.tbl >= t.capacity then begin
     sweep_expired t;
-    (* Still full: wholesale reset, like the solver memo cache — O(1)
-       amortized and the steady-state template population refills it in
-       one pass of the request stream. *)
+    (* Still full: wholesale reset — O(1) amortized, and the
+       steady-state template population refills it in one pass of the
+       request stream. *)
     if KTbl.length t.tbl >= t.capacity then clear t
   end;
   t.insertions <- t.insertions + 1;

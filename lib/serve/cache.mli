@@ -1,9 +1,8 @@
 (** Rewrite/statement cache of the [sia serve] daemon.
 
-    Entries are keyed on the solver's canonical predicate keys (PR 3,
-    {!Sia_smt.Key}): the query's non-join predicate is encoded and
-    canonicalized — alpha-renamed variables, sorted/deduplicated
-    conjuncts — and the canonical-variable → column-name mapping plus the
+    Entries are keyed on canonical predicate keys ({!Sia_smt.Key}): the
+    query's non-join predicate is encoded and canonicalized —
+    alpha-renamed variables, sorted/deduplicated conjuncts — and the canonical-variable → column-name mapping plus the
     sorted target columns join the key. Two requests whose WHERE clauses
     differ only in formatting, conjunct order, or variable naming
     therefore hit the same entry and skip {e all} solver work, while
@@ -12,9 +11,9 @@
 
     Only definitive synthesis outcomes are cached ([Optimal] / [Valid] /
     [Trivial]); failures — including solver resource-limit [Unknown]s —
-    are never stored, mirroring the memo-cache invariant (PR 3). The
-    constructor set of {!verdict} makes the invariant structural: there
-    is no way to insert a failure.
+    are never stored: an [Unknown] is a resource artifact, not a truth.
+    The constructor set of {!verdict} makes the invariant structural:
+    there is no way to insert a failure.
 
     Entries expire after a TTL and can be invalidated per table (the
     [invalidate] request, for table-stats changes). The cache registers
@@ -64,8 +63,8 @@ val create :
     [ttl] is the entry lifetime in seconds; [0.] (the default) disables
     expiry. [capacity] bounds the entry count (default 4096): an insert
     into a full cache first sweeps expired entries, then falls back to a
-    wholesale reset, mirroring the solver memo cache's O(1)-amortized
-    discipline. [register] (default [true]) hooks the cache into
+    wholesale reset, which keeps inserts O(1) amortized. [register]
+    (default [true]) hooks the cache into
     {!Sia_smt.Solver.on_reset_caches}; unit tests that create many
     short-lived caches pass [false]. *)
 

@@ -127,8 +127,7 @@ let cachable_verdict (r : Rewrite.rewrite_result) =
   | Synthesize.Valid p -> Some (Cache.Valid p)
   | Synthesize.Trivial -> Some Cache.Trivial
   (* Failed covers both structural failures and solver resource limits
-     (Unknown); neither is a definitive verdict, so neither is cached —
-     the memo-cache invariant, one layer up. *)
+     (Unknown); neither is a definitive verdict, so neither is cached. *)
   | Synthesize.Failed _ -> None
 
 let prepare state target q =

@@ -1,8 +1,8 @@
 (** The [sia serve] daemon: a long-running rewrite-as-a-service process.
 
     One process listens on a Unix-domain socket, speaks the
-    {!Protocol} frames, and keeps the whole solver hot state — the memo
-    cache and the sample model pool — resident between requests (via a
+    {!Protocol} frames, and keeps the whole solver hot state — the
+    sample model pool — resident between requests (via a
     {!Sia_core.Rewrite.Hot} handle), with a {!Cache} of finished
     rewrites in front so repeated query templates skip solver work
     entirely. A request memo keyed on the exact (target, SQL text) pair

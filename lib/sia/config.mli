@@ -22,9 +22,9 @@ type t = {
   paranoid : bool;
       (** audit every solver verdict through the independent certificate
           checker ([lib/check]), re-derive every fast-path sample
-          (model-pool replay, CEGQI witness) on the certified slow path
-          ({!Sia_smt.Solver.solve_fresh}), and re-derive the validity of
-          every emitted rewrite before it is returned. Defaults to the
+          (model-pool replay, CEGQI witness) with a one-shot
+          certificate-checked {!Sia_smt.Solver.solve}, and re-derive the
+          validity of every emitted rewrite before it is returned. Defaults to the
           [SIA_PARANOID] environment variable (tests/CI set it; bench and
           the CLI opt in explicitly). *)
   jobs : int;

@@ -59,9 +59,9 @@ let non_join_pred cat (q : Ast.query) =
 
 (* Static re-derivation of a rewrite's validity, independent of the
    synthesis run that produced it: re-encode [p] and [p1] from scratch
-   and decide [is_true p /\ not (is_true p1)] with the memo cache
-   bypassed and the certificate checker forced on. A bug anywhere in the
-   synthesis pipeline (stale cache entry, unsound Verify shortcut) thus
+   and decide [is_true p /\ not (is_true p1)] on a fresh solver instance
+   with the certificate checker forced on. A bug anywhere in the
+   synthesis pipeline (stale pool entry, unsound Verify shortcut) thus
    cannot survive into an emitted rewrite. *)
 let audit cat ~from ~p ~p1 =
   Trace.span "rewrite.audit"
@@ -84,7 +84,7 @@ let audit cat ~from ~p ~p1 =
               Formula.not_ (Encode.encode_is_true env p1);
             ]
         in
-        match Solver.solve_fresh ~is_int:(Encode.is_int_var env) query with
+        match Solver.solve ~is_int:(Encode.is_int_var env) query with
         | Solver.Unsat -> Audit_passed
         | Solver.Sat _ -> Audit_failed "rewrite admits a countermodel"
         | Solver.Unknown -> Audit_failed "solver resource limit"))
@@ -278,8 +278,8 @@ let plans cat r =
 (* A handle pins everything the per-call entry points re-derive on every
    invocation — catalog, config, the paranoid solver mode — and
    accumulates per-request solver deltas, so a serving process pays the
-   setup once and keeps the process-global hot state (memo cache, model
-   pool) deliberately resident between requests. *)
+   setup once and keeps the process-global hot state (the model pool)
+   deliberately resident between requests. *)
 module Hot = struct
   type t = {
     cat : Schema.catalog;

@@ -43,8 +43,8 @@ val audit :
   p1:Sia_sql.Ast.pred ->
   audit_result
 (** Statically re-derive the validity of a rewrite: re-encode [p] and
-    [p1] from scratch and decide [is_true p /\ not (is_true p1)] with the
-    solver's memo cache bypassed and the independent certificate checker
+    [p1] from scratch and decide [is_true p /\ not (is_true p1)] on a
+    fresh solver instance with the independent certificate checker
     ([lib/check]) forced on for the duration of the call. [Audit_passed]
     therefore means a fresh, certificate-checked Unsat verdict — not a
     replay of anything the synthesis run concluded. Under
@@ -122,7 +122,7 @@ val table_target_cols :
 (** Hot-state handle for long-running processes (the [sia serve]
     daemon): catalog, config, and the solver's paranoid mode are fixed
     once at creation instead of re-derived per call, and the
-    process-global solver hot state — memo cache, model pool — stays
+    process-global solver hot state — the model pool — stays
     deliberately resident between requests. The handle additionally
     accumulates per-request solver deltas for serving-side statistics. *)
 module Hot : sig

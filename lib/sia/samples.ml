@@ -176,7 +176,7 @@ let rederives st fs (m : Solver.model) =
          m)
   in
   match
-    Solver.solve_fresh ~is_int:(Encode.is_int_var st.env)
+    Solver.solve ~is_int:(Encode.is_int_var st.env)
       (Formula.and_ (pin :: fs))
   with
   | Solver.Sat _ -> true
@@ -459,7 +459,7 @@ let rederives_false st ~p_formula (m : Solver.model) =
          st.target_vars)
   in
   match
-    Solver.solve_fresh ~node_limit:800 ~is_int:(Encode.is_int_var st.env)
+    Solver.solve ~node_limit:800 ~is_int:(Encode.is_int_var st.env)
       (Formula.and_ [ p_formula; pin ])
   with
   | Solver.Unsat -> true

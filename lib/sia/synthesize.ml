@@ -399,8 +399,8 @@ type batch = {
 
 (* Shard assignment and effective worker count for a batch. Attempts on
    the same query — one model-pool family, see [pool_key_of] — land on
-   one worker in submission order, so each worker's memo cache and pool
-   see exactly the query sequence the sequential run would have fed
+   one worker in submission order, so each worker's model pool sees
+   exactly the query sequence the sequential run would have fed
    them. The effective job count is capped by the group count (idle
    forks are pure overhead) and by the detected online cores
    (over-forking a small box was measured at 0.86x). *)
@@ -462,7 +462,6 @@ let map_sharded ~cfg key run tasks =
           Trace.counter ~tid:(i + 1) "worker.solver"
             [
               ("queries", float_of_int s.Solver.queries);
-              ("cache_hits", float_of_int s.Solver.cache_hits);
               ("theory_rounds", float_of_int s.Solver.theory_rounds);
               ("pivots", float_of_int s.Solver.pivots);
             ])

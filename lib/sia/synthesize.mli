@@ -57,8 +57,8 @@ val is_optimal_outcome : stats -> bool
     {!Config.t.jobs} [> 1], fans them out over forked workers
     ([lib/pool]). Attempts of the same query shard to the same worker in
     submission order, so everything the sequential run would have shared
-    between them (the solver memo cache, warm learnt clauses) is shared
-    inside the worker too; results are therefore identical to a [jobs = 1]
+    between them (the sample model pool) is shared inside the worker
+    too; results are therefore identical to a [jobs = 1]
     run, in the same order. *)
 
 type attempt = {

@@ -5,8 +5,7 @@ type result =
   | Invalid
   | Unknown
 
-(* One-shot check; repeated identical checks are absorbed by the solver's
-   memo cache. *)
+(* One-shot check on a fresh solver instance. *)
 let implies_ce env ~p ~p1 =
   let t_p = Encode.encode_is_true env p in
   let t_p1 = Encode.encode_is_true env p1 in

@@ -30,8 +30,8 @@ module Trace = Sia_trace.Trace
 
    All queries run on one throwaway {!Solver.Session} — guard conjuncts,
    the matrix and each accumulated instantiation are encoded once and
-   re-enter later iterations as assumption literals — and are memoized
-   and audited under paranoid mode like any direct solve. *)
+   re-enter later iterations as assumption literals — and are audited
+   under paranoid mode like any direct solve. *)
 
 type outcome =
   | Witness of Solver.model

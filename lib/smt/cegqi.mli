@@ -10,7 +10,7 @@
     universal check or the existential side becomes unsatisfiable.
 
     Certificate story: both directions reduce to plain {!Solver.solve}
-    verdicts — memoized and audited under paranoid mode — so the final
+    verdicts — audited under paranoid mode — so the final
     Unsat proof (for {!Unsat_ea}) and each model (for
     {!Witness}) carry the same certificates as any direct solve. The
     instantiation count is reported through

@@ -1,17 +1,15 @@
 type canonical = {
-  id : Formula.t * bool list * int * int;
-  fwd : (int, int) Hashtbl.t; (* original var -> canonical var *)
+  id : Formula.t * bool list;
   back : int array; (* canonical var -> original var *)
 }
 
 (* The one sanctioned hash over a key identity: the formula goes through
    Formula.hash (structural), never the polymorphic hash — formulas
    carry Bigint/Rat values whose physical representation is not a valid
-   hashing identity. Shared by the memo table and trace ids. *)
-let id_hash (f, bits, max_rounds, node_limit) =
-  Hashtbl.hash (Formula.hash f, bits, max_rounds, node_limit)
+   hashing identity. *)
+let id_hash (f, bits) = Hashtbl.hash (Formula.hash f, bits)
 
-let canonical ~is_int ~max_rounds ~node_limit f =
+let canonical ~is_int f =
   let f = Formula.canon f in
   let fwd = Hashtbl.create 16 in
   let order = ref [] in
@@ -28,4 +26,4 @@ let canonical ~is_int ~max_rounds ~node_limit f =
   let back = Array.of_list (List.rev !order) in
   let kf = Formula.map_vars (Hashtbl.find fwd) f in
   let bits = Array.to_list (Array.map is_int back) in
-  { id = (kf, bits, max_rounds, node_limit); fwd; back }
+  { id = (kf, bits); back }

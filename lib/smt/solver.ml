@@ -150,13 +150,13 @@ let stats_since s0 = stats_map2 ( - ) ( -. ) !totals s0
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "queries=%d (sat=%d unsat=%d unknown=%d cached=%d) encodings=%d \
+    "queries=%d (sat=%d unsat=%d unknown=%d) encodings=%d \
      instances=%d theory-rounds=%d (reused=%d extended=%d rebuilds=%d) \
      pool=%d underapprox=%d fallbacks=%d cegqi=%d \
      conflicts=%d propagations=%d restarts=%d \
      pivots=%d encode=%.3fs search=%.3fs (theory=%.3fs) certs=%d/%d/%d \
      rejected=%d cert=%.3fs"
-    s.queries s.sat_answers s.unsat_answers s.unknown_answers s.cache_hits
+    s.queries s.sat_answers s.unsat_answers s.unknown_answers
     s.encodings s.instances s.theory_rounds s.reused_rounds s.extended_rounds
     s.tableau_rebuilds s.pool_hits s.underapprox_solves s.gen_fallbacks
     s.cegqi_instantiations s.conflicts s.propagations s.restarts s.pivots s.encode_time s.search_time
@@ -179,9 +179,6 @@ let note_cegqi_instantiation () =
     { !totals with cegqi_instantiations = !totals.cegqi_instantiations + 1 }
 
 let bump_query () = totals := { !totals with queries = !totals.queries + 1 }
-
-let bump_cache_hit () =
-  totals := { !totals with cache_hits = !totals.cache_hits + 1 }
 
 let bump_encoding dt =
   totals :=
@@ -360,7 +357,6 @@ let atom_var inst a =
     inst.max_atom_var <- List.fold_left max inst.max_atom_var (Atom.vars a);
     v
 
-let default_max_rounds = 50_000
 let default_node_limit = 4000 (* Theory.check_cert's default *)
 
 (* One DPLL(T) run on the current clause set, optionally under assumption
@@ -567,122 +563,19 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
   r
 
 (* ------------------------------------------------------------------ *)
-(* Memoized one-shot solving                                           *)
+(* One-shot solving                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Verdicts are memoized on a *canonical* key so that the syntactically
-   different ways CEGIS asks the same question coincide:
-
-   - the formula is order-normalized ({!Formula.canon}: And/Or children
-     sorted and deduplicated), so [base ∧ p ∧ q] and [q ∧ base ∧ p] share
-     an entry regardless of how a session interleaved its assertions;
-   - variables are alpha-renamed to 0,1,2,... in first-occurrence order
-     over the canonical formula, so fresh-variable numbering (per-attempt
-     [Encode] environments allocate from a moving counter) does not split
-     otherwise identical queries;
-   - the [is_int] fingerprint of the canonical variables joins the key
-     (the only part of [is_int] the answer can depend on);
-   - the resource limits ([max_rounds], theory [node_limit]) join the key,
-     so a cached verdict is always one the same call would have computed —
-     without them a warm-session Sat could answer for a colder query that
-     would itself have returned Unknown, which would make cached and
-     recomputed runs observably different (the parallel pool relies on
-     hit ≡ recompute for its determinism guarantee).
-
-   Only Sat/Unsat verdicts are cached — Unknown is a resource artifact,
-   not a truth. Models are stored in canonical variable space and
-   translated back through the renaming on a hit. The cache has no
-   invalidation rule by construction: a query's answer depends on nothing
-   but the key. *)
-module Memo = Hashtbl.Make (struct
-  type t = Formula.t * bool list * int * int
-
-  let equal (f1, b1, r1, n1) (f2, b2, r2, n2) =
-    r1 = r2 && n1 = n2 && b1 = b2 && Formula.equal f1 f2
-
-  let hash = Key.id_hash
-end)
-
-let memo : result Memo.t = Memo.create 1024
-
-(* Bound the cache; wholesale reset on overflow keeps it O(1) amortized
-   and is plenty for the CEGIS workloads (a run rarely exceeds a few
-   thousand distinct formulas). *)
-let memo_limit = 16_384
-
-(* Canonical-key construction lives in {!Key}. *)
-let memo_key = Key.canonical
-
-let memo_find (k : Key.canonical) =
-  match Memo.find_opt memo k.Key.id with
-  | None | Some Unknown -> None
-  | Some Unsat -> Some Unsat
-  | Some (Sat m) -> Some (Sat (List.map (fun (cv, r) -> (k.Key.back.(cv), r)) m))
-
-let memo_store (k : Key.canonical) r =
-  match r with
-  | Unknown -> ()
-  | Unsat | Sat _ ->
-    let r =
-      match r with
-      | Sat m ->
-        (* Store in canonical space. Variables outside the key (none in
-           practice: the theory already filters its Dvd witnesses, and
-           padding covers exactly the formula's variables) are dropped
-           rather than corrupting the entry. *)
-        Sat
-          (List.filter_map
-             (fun (v, value) ->
-               match Hashtbl.find_opt k.Key.fwd v with
-               | Some cv -> Some (cv, value)
-               | None -> None)
-             m)
-      | r -> r
-    in
-    if Memo.length memo >= memo_limit then Memo.reset memo;
-    Memo.replace memo k.Key.id r
-
-module FTbl = Hashtbl.Make (Formula)
-
-(* Downstream layers (the serve-mode rewrite cache) hold derived state
-   that must not outlive the solver caches it was computed from; they
-   register a flush here rather than the solver depending on them. *)
+(* Downstream layers (the model pool, the serve-mode rewrite cache) hold
+   derived state that differential harnesses want cold; they register a
+   flush here rather than the solver depending on them. *)
 let reset_hooks : (unit -> unit) list ref = ref []
 let on_reset_caches f = reset_hooks := f :: !reset_hooks
+let reset_caches () = List.iter (fun f -> f ()) !reset_hooks
 
-let reset_caches () =
-  Memo.reset memo;
-  List.iter (fun f -> f ()) !reset_hooks
-
-let solve ?(max_rounds = default_max_rounds) ~is_int f =
-  let f = Formula.nnf f in
-  bump_query ();
-  match f with
-  | Formula.True ->
-    count_answer (Sat (List.map (fun v -> (v, Rat.zero)) (Formula.vars f)))
-  | Formula.False -> count_answer Unsat
-  | _ -> (
-    let k = memo_key ~is_int ~max_rounds ~node_limit:default_node_limit f in
-    match memo_find k with
-    | Some r ->
-      bump_cache_hit ();
-      if Trace.enabled () then
-        Trace.instant "memo.hit"
-          ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ];
-      count_answer r
-    | None -> (
-      if Trace.enabled () then
-        Trace.instant "memo.miss"
-          ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ];
-      let r = run_instance ~max_rounds ~is_int (make_instance f) in
-      memo_store k r;
-      count_answer r))
-
-(* Unmemoized one-shot solve: in paranoid mode a memo hit replays the
-   answer of an earlier (audited) computation without re-auditing, so
-   callers that must certify {e this} verdict — [Rewrite.audit], the fuzz
-   suite — bypass the cache. *)
-let solve_fresh ?max_rounds ?node_limit ~is_int f =
+(* Every call builds its own instance, so in paranoid mode the verdict of
+   this very call is certificate-checked. *)
+let solve ?max_rounds ?node_limit ~is_int f =
   let f = Formula.nnf f in
   bump_query ();
   match f with
@@ -753,6 +646,8 @@ let entails ~is_int p q =
 (* Persistent sessions                                                 *)
 (* ------------------------------------------------------------------ *)
 
+module FTbl = Hashtbl.Make (Formula)
+
 module Session = struct
   type session = {
     inst : instance;
@@ -819,23 +714,12 @@ module Session = struct
         end)
       (t.base_atoms @ t.asserted_atoms @ query_atoms)
 
-  (* [extra_lits]/[extra_atoms] carry raw per-call state (the enumeration
-     guard and its blocking atoms) that has no formula counterpart.
-
-     Queries without per-call state are answered through the global memo
-     cache: the key is the full conjunction base ∧ asserted ∧ assumptions,
-     canonicalized (see the memo above), so a threshold probe repeated on
-     the sibling session of another column subset — or by a one-shot
-     [solve] of the same conjunction — costs a table lookup. Enumeration
-     calls ([extra_lits ≠ []]) bypass the cache: their answer depends on
-     blocking clauses that exist only inside that call. *)
   (* Per-query state that is invariant across the steps of one
-     enumeration: NNF'd assumptions, their activation literals and atoms,
-     the model-validation formula list and its variable closure. Computed
+     enumeration: the assumptions' activation literals and atoms, the
+     model-validation formula list and its variable closure. Computed
      once by [prep]; [solve_many_under] re-uses it for every model of the
      call instead of re-walking hundreds of exclusion formulas per step. *)
   type prepped = {
-    p_assumptions : Formula.t list; (* NNF *)
     p_lits : Sat.lit list;
     p_atoms : (Atom.t * int) list;
     p_check : Formula.t list;
@@ -854,53 +738,23 @@ module Session = struct
           (List.rev_append (List.concat_map Formula.vars check) t.inst.fvars)
     in
     {
-      p_assumptions = assumptions;
       p_lits = List.map fst encoded;
       p_atoms = List.concat_map snd encoded;
       p_check = check;
       p_fvars = fvars;
     }
 
-  let run_prepped ?(max_rounds = default_max_rounds) ?node_limit
-      ?(extra_lits = []) ?(extra_atoms = []) t p =
+  (* [extra_lits]/[extra_atoms] carry raw per-call state (the enumeration
+     guard and its blocking atoms) that has no formula counterpart. *)
+  let run_prepped ?max_rounds ?node_limit ?(extra_lits = []) ?(extra_atoms = [])
+      t p =
     bump_query ();
-    let memo_k =
-      if extra_lits = [] && extra_atoms = [] then
-        Some
-          (memo_key ~is_int:t.is_int ~max_rounds
-             ~node_limit:(Option.value node_limit ~default:default_node_limit)
-             (Formula.nnf
-                (Formula.and_
-                   (t.inst.formula
-                   :: List.rev_append t.asserted p.p_assumptions))))
-      else None
-    in
-    match Option.bind memo_k memo_find with
-    | Some r ->
-      bump_cache_hit ();
-      (if Trace.enabled () then
-         match memo_k with
-         | Some k ->
-           Trace.instant "memo.hit"
-             ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ]
-         | None -> ());
-      count_answer r
-    | None -> (
-      (if Trace.enabled () then
-         match memo_k with
-         | Some k ->
-           Trace.instant "memo.miss"
-             ~args:[ ("key", Trace.Int (Key.id_hash k.Key.id)) ]
-         | None -> ());
-      let r =
-        run_instance ~max_rounds ?node_limit
-          ~assumptions:(extra_lits @ p.p_lits)
-          ~check:p.p_check ~fvars:p.p_fvars
-          ~theory_atoms:(relevant_atoms t (extra_atoms @ p.p_atoms))
-          ~is_int:t.is_int t.inst
-      in
-      (match memo_k with Some k -> memo_store k r | None -> ());
-      count_answer r)
+    count_answer
+      (run_instance ?max_rounds ?node_limit
+         ~assumptions:(extra_lits @ p.p_lits)
+         ~check:p.p_check ~fvars:p.p_fvars
+         ~theory_atoms:(relevant_atoms t (extra_atoms @ p.p_atoms))
+         ~is_int:t.is_int t.inst)
 
   let solve_under ?max_rounds ?node_limit ?(assumptions = []) t =
     run_prepped ?max_rounds ?node_limit t (prep t assumptions)

@@ -15,10 +15,15 @@ type result =
   | Unsat
   | Unknown  (** resource limit (unbounded integer branch and bound) *)
 
-val solve : ?max_rounds:int -> is_int:(int -> bool) -> Formula.t -> result
+val solve :
+  ?max_rounds:int -> ?node_limit:int -> is_int:(int -> bool) -> Formula.t ->
+  result
 (** Find a model of the formula, assigning every variable that occurs in
     it (unconstrained variables default to zero). Integer variables take
-    integral values. *)
+    integral values. Each call solves on a fresh instance, so in paranoid
+    mode the verdict of this very call is certificate-checked.
+    [node_limit] caps each integer branch-and-bound check, as in
+    {!Session.solve_under}. *)
 
 val solve_many :
   ?max_rounds:int ->
@@ -32,14 +37,6 @@ val solve_many :
     the enumeration (each model adds a blocking clause of fresh
     disequality atoms). The flag is true when the model space was
     exhausted before [count] models were found. *)
-
-val solve_fresh :
-  ?max_rounds:int -> ?node_limit:int -> is_int:(int -> bool) -> Formula.t ->
-  result
-(** Like {!solve} but never answered from the memo cache: in paranoid mode
-    the verdict of this very call is certificate-checked, which a cache
-    hit would bypass. [node_limit] caps each integer branch-and-bound
-    check, as in {!Session.solve_under}. *)
 
 val entails : is_int:(int -> bool) -> Formula.t -> Formula.t -> bool option
 (** [entails p q] decides whether [p] implies [q] ([Some true]),
@@ -82,21 +79,20 @@ val set_auditor_factory : (unit -> auditor) -> unit
 
 val set_paranoid : bool -> unit
 (** Enable/disable auditing of new instances. Existing instances and
-    sessions keep the mode they were created under; memo-cache hits
-    replay previously audited verdicts without re-auditing. *)
+    sessions keep the mode they were created under. *)
 
 val paranoid : unit -> bool
 
 val reset_caches : unit -> unit
-(** Drop the memo cache — differential test harnesses use this to
-    compare genuinely cold runs. Also runs every {!on_reset_caches} hook,
-    so derived caches in higher layers (the serve-mode rewrite cache)
-    flush with the state they were computed from. *)
+(** Run every {!on_reset_caches} hook, so the caches of higher layers
+    (the model pool, the serve-mode rewrite cache) go cold —
+    differential test harnesses use this to compare genuinely cold
+    runs. The solver itself keeps no state across calls. *)
 
 val on_reset_caches : (unit -> unit) -> unit
 (** Register a hook to run on every {!reset_caches}. Hooks must not call
-    back into the solver. Used by [lib/serve] to keep its rewrite cache
-    coherent with the memo cache without a reverse dependency. *)
+    back into the solver. Used by {!Mpool} and [lib/serve] to flush
+    without a reverse dependency. *)
 
 (** {2 Persistent sessions}
 
@@ -127,12 +123,7 @@ module Session : sig
       branch-and-bound check (default 4000): callers whose queries are
       unbounded — no domain box — and who handle [Unknown] gracefully
       should pass a small cap so one unlucky candidate cannot stall the
-      whole loop.
-
-      Definitive answers are shared with {!solve} through the global memo
-      cache, keyed on the canonicalized conjunction
-      [base ∧ asserted ∧ assumptions] plus the resource limits — repeating
-      a query on a sibling session costs a table lookup. *)
+      whole loop. *)
 
   val add_clause : t -> Formula.t -> unit
   (** Permanently conjoin a formula to the session (cheap on the live
@@ -163,11 +154,15 @@ end
     with {!stats} and subtract with {!stats_since} for per-phase deltas. *)
 
 type stats = {
-  queries : int;  (** satisfiability questions asked (incl. cache hits) *)
+  queries : int;  (** satisfiability questions asked *)
   sat_answers : int;
   unsat_answers : int;
   unknown_answers : int;
-  cache_hits : int;  (** answered from the memo cache without solving *)
+  cache_hits : int;
+      (** always 0: the memo cache that counted these is gone. The field
+          stays only because the end-to-end benchmark ([e2e_bench/e2e.ml])
+          reads it for [smt.memo_hit_rate]; it goes with the next
+          benchmark change. *)
   encodings : int;  (** Tseitin encodings performed (base + side formulas) *)
   instances : int;  (** fresh solver instances built *)
   theory_rounds : int;  (** simplex / branch-and-bound checks *)

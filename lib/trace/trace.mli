@@ -93,7 +93,7 @@ val span : ?cat:string -> ?args:args -> string -> (unit -> 'a) -> 'a
     re-raised. When tracing is disabled this is exactly [f ()]. *)
 
 val instant : ?cat:string -> ?args:args -> string -> unit
-(** Emit a point event (memo hit, rebuild, worker completion, ...). *)
+(** Emit a point event (cache hit, rebuild, worker completion, ...). *)
 
 val timer : unit -> unit -> float
 (** [timer ()] starts a per-request timer on the trace clock and returns

@@ -183,7 +183,7 @@ let test_wrong_literals_rejected () =
 
 let test_model_value_strict () =
   let f = Formula.atom (Atom.mk_ge (v 0) (c 1)) in
-  match Solver.solve_fresh ~is_int:all_int f with
+  match Solver.solve ~is_int:all_int f with
   | Solver.Sat m ->
     Alcotest.(check bool) "assigned var readable" true
       (Rat.sign (Solver.model_value_strict m 0) > 0);
@@ -314,11 +314,11 @@ let prop_paranoid_agrees_with_plain =
          random instance. *)
       let audited =
         with_paranoid true (fun () ->
-            Solver.solve_fresh ~max_rounds:300 ~node_limit:60 ~is_int f)
+            Solver.solve ~max_rounds:300 ~node_limit:60 ~is_int f)
       in
       let plain =
         with_paranoid false (fun () ->
-            Solver.solve_fresh ~max_rounds:300 ~node_limit:60 ~is_int f)
+            Solver.solve ~max_rounds:300 ~node_limit:60 ~is_int f)
       in
       cls audited = cls plain)
 

@@ -1,6 +1,6 @@
-(* Canonical key stability (lib/smt/key.ml). The memo cache and the
-   parallel pool assume these keys are a pure function of query
-   structure — alpha-renaming and conjunct order must not split keys. *)
+(* Canonical key stability (lib/smt/key.ml). The serve daemon's rewrite
+   cache assumes these keys are a pure function of formula structure —
+   alpha-renaming and conjunct order must not split keys. *)
 
 open Sia_numeric
 module Atom = Sia_smt.Atom
@@ -18,17 +18,14 @@ let diff_le a b c =
 
 let all_int _ = true
 
-let canon ?(max_rounds = 50_000) ?(node_limit = 4000) ?(is_int = all_int) f =
-  Key.canonical ~is_int ~max_rounds ~node_limit (Formula.nnf f)
+let canon ?(is_int = all_int) f = Key.canonical ~is_int (Formula.nnf f)
 
 let key_testable =
   Alcotest.testable
-    (fun fmt (f, bits, r, n) ->
-      Format.fprintf fmt "(%a, [%s], %d, %d)" (Formula.pp ?name:None) f
-        (String.concat ";" (List.map string_of_bool bits))
-        r n)
-    (fun (f1, b1, r1, n1) (f2, b2, r2, n2) ->
-      Formula.equal f1 f2 && b1 = b2 && r1 = r2 && n1 = n2)
+    (fun fmt (f, bits) ->
+      Format.fprintf fmt "(%a, [%s])" (Formula.pp ?name:None) f
+        (String.concat ";" (List.map string_of_bool bits)))
+    (fun (f1, b1) (f2, b2) -> Formula.equal f1 f2 && b1 = b2)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical keys                                                      *)
@@ -47,30 +44,17 @@ let test_order_invariance () =
   Alcotest.check key_testable "conjunct order does not split keys"
     (canon f1).Key.id (canon f2).Key.id
 
-let test_limits_in_key () =
-  let f = le 1 10 in
-  let k1 = canon ~max_rounds:100 f and k2 = canon ~max_rounds:200 f in
-  Alcotest.(check bool) "max_rounds joins the key" false (k1.Key.id = k2.Key.id);
-  let k3 = canon ~node_limit:800 f and k4 = canon ~node_limit:4000 f in
-  Alcotest.(check bool) "node_limit joins the key" false (k3.Key.id = k4.Key.id);
-  let k5 = canon ~is_int:(fun _ -> false) f in
-  Alcotest.(check bool) "integrality bits join the key" false
-    ((canon f).Key.id = k5.Key.id)
-
-let test_back_fwd_roundtrip () =
-  let f = Formula.and_ [ le 42 10; diff_le 42 17 5 ] in
-  let k = canon f in
-  Array.iteri
-    (fun cv ov ->
-      Alcotest.(check int) "fwd inverts back" cv (Hashtbl.find k.Key.fwd ov))
-    k.Key.back
+let test_integrality_in_key () =
+  let bits is_int = snd (canon ~is_int (le 1 10)).Key.id in
+  Alcotest.(check (list bool)) "integer variable" [ true ] (bits all_int);
+  Alcotest.(check (list bool)) "rational variable" [ false ] (bits (fun _ -> false))
 
 (* The pinned key: the canonical form of a concrete formula must never
-   drift silently — a drift would split every memo key built by
-   an earlier version of the code from its recomputation. *)
+   drift silently — a drift would change which serve requests share a
+   cache entry. *)
 let test_pinned_rendering () =
   let f = Formula.and_ [ ge 7 2; le 3 10 ] in
-  let kf, bits, _, _ = (canon f).Key.id in
+  let kf, bits = (canon f).Key.id in
   Alcotest.(check int) "two canonical variables" 2 (List.length bits);
   Alcotest.(check (list int)) "canonical variables are 0 and 1" [ 0; 1 ]
     (List.sort compare (Formula.vars kf));
@@ -88,8 +72,8 @@ let () =
         [
           Alcotest.test_case "alpha invariance" `Quick test_alpha_invariance;
           Alcotest.test_case "order invariance" `Quick test_order_invariance;
-          Alcotest.test_case "limits in key" `Quick test_limits_in_key;
-          Alcotest.test_case "back/fwd roundtrip" `Quick test_back_fwd_roundtrip;
+          Alcotest.test_case "integrality bits in key" `Quick
+            test_integrality_in_key;
           Alcotest.test_case "pinned rendering" `Quick test_pinned_rendering;
         ] );
     ]

@@ -120,7 +120,7 @@ let test_worker_death () =
 (* Random qgen workloads through the full rewrite pipeline at jobs=4 and
    jobs=1: the rewritten-query strings must match verbatim, and so must
    every attempt's valid/optimal classification. The parallel run goes
-   first so its workers cannot inherit a memo cache warmed by the
+   first so its workers cannot inherit a model pool warmed by the
    sequential run — both start from the same parent state. *)
 let prop_differential =
   QCheck.Test.make ~name:"jobs=4 output identical to jobs=1" ~count:2

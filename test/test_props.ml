@@ -269,7 +269,7 @@ let qe_matches_solver ~is_int atoms projected_eval =
           :: List.map Formula.atom atoms)
       in
       let lk var = if var = 0 then qi x else if var = 1 then qi y else Rat.zero in
-      match Solver.solve_fresh ~is_int pinned with
+      match Solver.solve ~is_int pinned with
       | Solver.Unknown -> true
       | Solver.Sat _ -> projected_eval lk
       | Solver.Unsat -> not (projected_eval lk))

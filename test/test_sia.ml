@@ -305,8 +305,8 @@ let test_synthesize_band_with_tightening () =
 let test_synthesize_time_budget () =
   (* A one-millisecond budget still allows the first iteration, then stops;
      the call must return promptly with an honest outcome. Start cold:
-     with the memo cache warmed by earlier tests the whole run can finish
-     within the budget, and the test would time the cache, not the
+     with the model pool warmed by earlier tests the whole run can finish
+     within the budget, and the test would time the pool, not the
      budget. *)
   Solver.reset_caches ();
   let cfg = { Config.default with Config.time_budget = Some 0.001 } in
