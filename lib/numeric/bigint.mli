@@ -2,10 +2,19 @@
 
     Sia's simplex tableau and Fourier-Motzkin elimination square coefficient
     magnitudes; native [int] overflows silently, so every exact computation
-    in the solver goes through this module. Representation: sign and a
-    little-endian magnitude in base 10^9. *)
+    in the solver goes through this module.
 
-type t
+    Representation: [Small n] for every value that fits a native [int],
+    [Big] (a sign and a little-endian magnitude in base 10^9) only for
+    values beyond it. The representation is canonical — the one exception
+    is the testing hook {!denormalized_of_int} — so a [Small] operand is
+    a native int, and callers with their own fast paths (such as [Rat])
+    may match on it. The type is private: values are built only through
+    this module's functions, which keep the representation canonical. *)
+
+type t = private
+  | Small of int
+  | Big of { sign : int; mag : int array }
 
 val zero : t
 val one : t

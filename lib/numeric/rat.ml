@@ -1,17 +1,45 @@
 type t = { num : Bigint.t; den : Bigint.t }
 
-let make num den =
-  if Bigint.is_zero den then raise Division_by_zero;
-  if Bigint.is_zero num then { num = Bigint.zero; den = Bigint.one }
-  else begin
-    let num, den = if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den) else (num, den) in
-    let g = Bigint.gcd num den in
-    { num = Bigint.div num g; den = Bigint.div den g }
-  end
-
 let zero = { num = Bigint.zero; den = Bigint.one }
 let one = { num = Bigint.one; den = Bigint.one }
 let minus_one = { num = Bigint.minus_one; den = Bigint.one }
+
+(* Native-int path. The simplex tableau and the bound comparisons run
+   overwhelmingly on small fractions; when every numerator and
+   denominator is a [Small] below 2^30 in magnitude, every cross product
+   is below 2^60 and a sum of two below 2^61, so the operation runs on
+   native ints with one gcd and allocates only the result. The result is
+   in lowest terms with a positive denominator, so it equals what the
+   [Bigint] path returns. Any other operand takes the [Bigint] path. *)
+let small_limit = 1 lsl 30
+let fits n = n < small_limit && n > -small_limit
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* [n/d] in lowest terms; neither may be [min_int], so both negate. *)
+let of_native n d =
+  if d = 0 then raise Division_by_zero;
+  if n = 0 then zero
+  else if d = 1 then { num = Bigint.of_int n; den = Bigint.one }
+  else begin
+    let n = if d < 0 then -n else n and d = Stdlib.abs d in
+    let g = gcd_int (Stdlib.abs n) d in
+    let d = d / g in
+    { num = Bigint.of_int (n / g); den = (if d = 1 then Bigint.one else Bigint.of_int d) }
+  end
+
+let make num den =
+  match (num, den) with
+  | Bigint.Small n, Bigint.Small d when n <> min_int && d <> min_int -> of_native n d
+  | _ ->
+    if Bigint.is_zero den then raise Division_by_zero;
+    if Bigint.is_zero num then zero
+    else begin
+      let num, den = if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den) else (num, den) in
+      let g = Bigint.gcd num den in
+      { num = Bigint.div num g; den = Bigint.div den g }
+    end
+
 let of_bigint n = { num = n; den = Bigint.one }
 let of_int n = of_bigint (Bigint.of_int n)
 let of_ints n d = make (Bigint.of_int n) (Bigint.of_int d)
@@ -28,26 +56,52 @@ let abs x = { x with num = Bigint.abs x.num }
 let both_int a b = Bigint.equal a.den Bigint.one && Bigint.equal b.den Bigint.one
 
 let add a b =
-  if both_int a b then { num = Bigint.add a.num b.num; den = Bigint.one }
-  else
-    make
-      (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
-      (Bigint.mul a.den b.den)
+  match (a.num, a.den, b.num, b.den) with
+  | Bigint.Small an, Bigint.Small ad, Bigint.Small bn, Bigint.Small bd
+    when fits an && fits ad && fits bn && fits bd ->
+    of_native ((an * bd) + (bn * ad)) (ad * bd)
+  | _ ->
+    if both_int a b then { num = Bigint.add a.num b.num; den = Bigint.one }
+    else
+      make
+        (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
+        (Bigint.mul a.den b.den)
 
 let sub a b =
-  if both_int a b then { num = Bigint.sub a.num b.num; den = Bigint.one }
-  else add a (neg b)
+  match (a.num, a.den, b.num, b.den) with
+  | Bigint.Small an, Bigint.Small ad, Bigint.Small bn, Bigint.Small bd
+    when fits an && fits ad && fits bn && fits bd ->
+    of_native ((an * bd) - (bn * ad)) (ad * bd)
+  | _ ->
+    if both_int a b then { num = Bigint.sub a.num b.num; den = Bigint.one }
+    else add a (neg b)
 
 let mul a b =
-  if both_int a b then { num = Bigint.mul a.num b.num; den = Bigint.one }
-  else make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+  match (a.num, a.den, b.num, b.den) with
+  | Bigint.Small an, Bigint.Small ad, Bigint.Small bn, Bigint.Small bd
+    when fits an && fits ad && fits bn && fits bd ->
+    of_native (an * bn) (ad * bd)
+  | _ ->
+    if both_int a b then { num = Bigint.mul a.num b.num; den = Bigint.one }
+    else make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
 
-let div a b = make (Bigint.mul a.num b.den) (Bigint.mul a.den b.num)
+let div a b =
+  match (a.num, a.den, b.num, b.den) with
+  | Bigint.Small an, Bigint.Small ad, Bigint.Small bn, Bigint.Small bd
+    when fits an && fits ad && fits bn && fits bd ->
+    of_native (an * bd) (ad * bn)
+  | _ -> make (Bigint.mul a.num b.den) (Bigint.mul a.den b.num)
+
 let inv a = make a.den a.num
 
 let compare a b =
-  if both_int a b then Bigint.compare a.num b.num
-  else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+  match (a.num, a.den, b.num, b.den) with
+  | Bigint.Small an, Bigint.Small ad, Bigint.Small bn, Bigint.Small bd
+    when fits an && fits ad && fits bn && fits bd ->
+    Int.compare (an * bd) (bn * ad)
+  | _ ->
+    if both_int a b then Bigint.compare a.num b.num
+    else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
 let equal a b = compare a b = 0
 
 (* Rationals are kept in lowest terms with positive denominator, so

@@ -2,7 +2,15 @@
 
     Invariant: denominator is strictly positive and [gcd num den = 1]
     ([num = 0] implies [den = 1]). All solver arithmetic (simplex pivots,
-    Fourier-Motzkin combinations, Cooper coefficients) is exact. *)
+    Fourier-Motzkin combinations, Cooper coefficients) is exact.
+
+    Two paths compute every result and both keep the invariant. When
+    every numerator and denominator of the operands is a [Bigint.Small]
+    below 2^30 in magnitude, {!make}, {!add}, {!sub}, {!mul}, {!div},
+    {!inv} and {!compare} run on native ints: cross products stay below
+    2^60 and one native gcd reduces the result. Any other operand takes
+    the {!Bigint} path. The two return equal values, so which one ran is
+    never observable. *)
 
 type t = private { num : Bigint.t; den : Bigint.t }
 
