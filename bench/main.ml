@@ -15,8 +15,8 @@
    --smoke shrinks the workload for CI. --baseline FILE gates the row
    against FILE; --dump-sql FILE writes the rewritten predicates.
    --trace FILE writes a Chrome trace-event JSON of the whole run
-   (chrome://tracing / ui.perfetto.dev; SIA_TRACE_DETAIL=1 adds per-node
-   simplex events); --metrics prints the aggregated span/counter table.
+   (chrome://tracing / ui.perfetto.dev); --metrics prints the aggregated
+   span/counter table.
    Environment:
      SIA_BENCH_QUERIES   number of generated queries   (default 200)
      SIA_CASE_QUERIES    case-study log size           (default 1000)
@@ -800,7 +800,6 @@ let run_perf () =
             ("solver_instances", int sv.Solver.instances);
             ("solver_theory_rounds", int sv.Solver.theory_rounds);
             ("solver_reused_rounds", int sv.Solver.reused_rounds);
-            ("solver_extended_rounds", int sv.Solver.extended_rounds);
             ("solver_rebuilds", int sv.Solver.tableau_rebuilds);
             ("solver_conflicts", int sv.Solver.conflicts);
             ("solver_propagations", int sv.Solver.propagations);
@@ -936,7 +935,6 @@ let run_suite () =
             ("solver_cache_hits", int sv.Solver.cache_hits);
             ("solver_theory_rounds", int sv.Solver.theory_rounds);
             ("solver_reused_rounds", int sv.Solver.reused_rounds);
-            ("solver_extended_rounds", int sv.Solver.extended_rounds);
             ("solver_rebuilds", int sv.Solver.tableau_rebuilds);
             ("solver_conflicts", int sv.Solver.conflicts);
             ("solver_pivots", int sv.Solver.pivots);
@@ -1086,12 +1084,14 @@ let run_micro () =
 (* Ops/sec over the three operand regimes the [Bigint] representation
    distinguishes — int fast path, values hugging the int boundary
    (promotion/demotion traffic), and multi-limb magnitudes — plus the
-   [Rat] both-int fast paths on top. One JSON line for the artifact. *)
+   [Rat] both-int fast paths on top. Each (regime, op) runs batches of
+   1,024 ops over the same fixed wall slice, so the slowest regime costs
+   no more time than the fastest. One JSON line for the artifact. *)
 let run_numeric () =
   header "numeric: Bigint/Rat throughput by operand regime (JSON)";
   let open Sia_numeric in
   let rand = Random.State.make [| 0x51a; 42 |] in
-  let n_ops = env_int "SIA_NUMERIC_OPS" 2_000_000 in
+  let slice_s = 0.25 in
   let small () = Bigint.of_int (Random.State.int rand 2_000_001 - 1_000_000) in
   let edge () =
     let off = Random.State.int rand 1_000_000 in
@@ -1107,27 +1107,19 @@ let run_numeric () =
     if Random.State.bool rand then b else Bigint.neg b
   in
   let mk gen = Array.init 1024 (fun _ -> gen ()) in
-  let time_ops f =
+  (* Ops/s of [op] over the operand arrays: whole batches of 1,024 ops
+     run until the wall slice is up. *)
+  let rate op xs ys =
     let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int n_ops /. Float.max 1e-9 dt
-  in
-  let bench_binop op xs ys =
-    time_ops (fun () ->
-        let sink = ref Bigint.zero in
-        for i = 0 to n_ops - 1 do
-          sink := op xs.(i land 1023) ys.((i * 7) land 1023)
-        done;
-        ignore (Bigint.sign !sink))
-  in
-  let bench_cmp xs ys =
-    time_ops (fun () ->
-        let sink = ref 0 in
-        for i = 0 to n_ops - 1 do
-          sink := !sink + Bigint.compare xs.(i land 1023) ys.((i * 7) land 1023)
-        done;
-        ignore !sink)
+    let n = ref 0 and dt = ref 0.0 in
+    while !dt < slice_s do
+      for i = 0 to 1023 do
+        ignore (Sys.opaque_identity (op xs.(i) ys.((i * 7) land 1023)))
+      done;
+      n := !n + 1024;
+      dt := Unix.gettimeofday () -. t0
+    done;
+    float_of_int !n /. !dt
   in
   let nonzero a = Array.map (fun b -> if Bigint.is_zero b then Bigint.one else b) a in
   let regimes = [ ("small", small); ("edge", edge); ("big", big) ] in
@@ -1138,12 +1130,12 @@ let run_numeric () =
       let ysn = nonzero ys in
       let ops =
         [
-          ("add", bench_binop Bigint.add xs ys);
-          ("sub", bench_binop Bigint.sub xs ys);
-          ("mul", bench_binop Bigint.mul xs ys);
-          ("div", bench_binop Bigint.div xs ysn);
-          ("gcd", bench_binop Bigint.gcd xs ys);
-          ("compare", bench_cmp xs ys);
+          ("add", rate Bigint.add xs ys);
+          ("sub", rate Bigint.sub xs ys);
+          ("mul", rate Bigint.mul xs ys);
+          ("div", rate Bigint.div xs ysn);
+          ("gcd", rate Bigint.gcd xs ys);
+          ("compare", rate Bigint.compare xs ys);
         ]
       in
       List.iter
@@ -1157,28 +1149,14 @@ let run_numeric () =
     let dens = nonzero (mk gen) in
     Array.init 1024 (fun i -> Rat.make (gen ()) (Bigint.abs dens.(i)))
   in
-  let bench_rat_binop op xs ys =
-    time_ops (fun () ->
-        let sink = ref Rat.zero in
-        for i = 0 to n_ops - 1 do
-          sink := op xs.(i land 1023) ys.((i * 7) land 1023)
-        done;
-        ignore (Rat.sign !sink))
-  in
   List.iter
     (fun (name, gen) ->
       let xs = mk_rat gen and ys = mk_rat gen in
       let ops =
         [
-          ("add", bench_rat_binop Rat.add xs ys);
-          ("mul", bench_rat_binop Rat.mul xs ys);
-          ( "compare",
-            time_ops (fun () ->
-                let sink = ref 0 in
-                for i = 0 to n_ops - 1 do
-                  sink := !sink + Rat.compare xs.(i land 1023) ys.((i * 7) land 1023)
-                done;
-                ignore !sink) );
+          ("add", rate Rat.add xs ys);
+          ("mul", rate Rat.mul xs ys);
+          ("compare", rate Rat.compare xs ys);
         ]
       in
       List.iter
@@ -1189,7 +1167,7 @@ let run_numeric () =
     [ ("small", small); ("big", big) ];
   print_endline
     (Json.to_string
-       (Json.Obj (("bench", Json.Str "numeric") :: ("ops", int n_ops) :: List.rev !fields)))
+       (Json.Obj (("bench", Json.Str "numeric") :: List.rev !fields)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1240,8 +1218,7 @@ let () =
   in
   let positional = parse (List.tl (Array.to_list Sys.argv)) in
   if !paranoid then Sia_check.Check.enable ();
-  if !trace_file <> None || !metrics then
-    Sia_trace.Trace.enable ~detail:(Sys.getenv_opt "SIA_TRACE_DETAIL" <> None) ();
+  if !trace_file <> None || !metrics then Sia_trace.Trace.enable ();
   let cmd = match positional with c :: _ -> c | [] -> "all" in
   Printf.printf
     "sia bench: %s%s%s%s (SIA_BENCH_QUERIES=%d SIA_CASE_QUERIES=%d SIA_SF_ONE=%.3f SIA_SF_TEN=%.3f)\n%!"

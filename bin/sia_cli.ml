@@ -40,8 +40,7 @@ let run_synthesize query cols_groups table iterations jobs show_plans trace_file
     metrics =
   let q = Parser.parse_query query in
   let tracing = trace_file <> None || metrics in
-  if tracing then
-    Sia_trace.Trace.enable ~detail:(Sys.getenv_opt "SIA_TRACE_DETAIL" <> None) ();
+  if tracing then Sia_trace.Trace.enable ();
   let cfg =
     {
       Config.default with
@@ -115,8 +114,7 @@ let plans_arg =
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write a Chrome trace-event JSON of the run to $(docv) \
-               (open in chrome://tracing or ui.perfetto.dev). Set \
-               SIA_TRACE_DETAIL=1 to include per-node simplex events.")
+               (open in chrome://tracing or ui.perfetto.dev).")
 
 let metrics_arg =
   Arg.(value & flag & info [ "metrics" ]

@@ -67,8 +67,8 @@ let alg2_fallback cfg env ~cols ~ts ~fs =
       let degenerate = Array.for_all Rat.is_zero w in
       let mis = List.filter (fun t -> not (accepts w b t)) cur_ts in
       let no_progress = List.length mis = List.length cur_ts in
-      let last_round = round >= cfg.Config.max_learn_models - 1 in
-      if degenerate || ((no_progress || last_round) && mis <> []) then begin
+      let out_of_models = round >= cfg.Config.max_learn_models - 1 in
+      if degenerate || ((no_progress || out_of_models) && mis <> []) then begin
         let w = if degenerate then Array.map (fun _ -> Rat.zero) w else w in
         let m =
           List.fold_left
@@ -89,17 +89,6 @@ let alg2_fallback cfg env ~cols ~ts ~fs =
     end
   in
   loop ts [] [] 0
-
-let debug = Sys.getenv_opt "SIA_LEARN_DEBUG" <> None
-
-let timed label f =
-  if not debug then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    Printf.eprintf "    learn.%s %.3f s\n%!" label (Unix.gettimeofday () -. t0);
-    r
-  end
 
 let learn ?cache ?p1_formula cfg env ~p_formula ~cols ~ts ~fs =
   if ts = [] then invalid_arg "Learn.learn: no TRUE samples";
@@ -130,16 +119,12 @@ let learn ?cache ?p1_formula cfg env ~p_formula ~cols ~ts ~fs =
     let fs = fs_active in
     let to_floats = List.map (Array.map Rat.to_float) in
     let model =
-      timed "svm" (fun () ->
-          Trace.span "svm.train"
-            ~args:
-              [
-                ("pos", Trace.Int (List.length ts));
-                ("neg", Trace.Int (List.length fs));
-              ]
-            (fun () ->
-              Svm.train ~epochs:cfg.Config.svm_epochs ~seed:cfg.Config.seed
-                ~pos:(to_floats ts) ~neg:(to_floats fs) ()))
+      Trace.span "svm.train"
+        ~args:
+          [ ("pos", Trace.Int (List.length ts)); ("neg", Trace.Int (List.length fs)) ]
+        (fun () ->
+          Svm.train ~epochs:cfg.Config.svm_epochs ~seed:cfg.Config.seed
+            ~pos:(to_floats ts) ~neg:(to_floats fs) ())
     in
     (* Tighten each rounded direction against p: valid by construction and
        the strongest halfspace in that direction. Pick the one rejecting
@@ -149,14 +134,7 @@ let learn ?cache ?p1_formula cfg env ~p_formula ~cols ~ts ~fs =
       else
         List.filter_map
           (fun w ->
-            let label =
-              Printf.sprintf "tighten[%s]"
-                (String.concat "," (Array.to_list (Array.map Rat.to_string w)))
-            in
-            match
-              timed label (fun () ->
-                  Tighten.strongest_threshold ?cache env ~p_formula ~cols ~w)
-            with
+            match Tighten.strongest_threshold ?cache env ~p_formula ~cols ~w with
             | None -> None
             | Some t -> Some (w, t, rejected_count w (Rat.of_int t) fs))
           (direction_candidates model.Svm.w)
@@ -178,8 +156,6 @@ let learn ?cache ?p1_formula cfg env ~p_formula ~cols ~ts ~fs =
         n_models = 1;
       }
     | None ->
-      let preds, formulas, n_models =
-        timed "alg2-fallback" (fun () -> alg2_fallback cfg env ~cols ~ts ~fs)
-      in
+      let preds, formulas, n_models = alg2_fallback cfg env ~cols ~ts ~fs in
       { pred = Ast.disj preds; formula = Formula.or_ formulas; n_models }
   end

@@ -1,5 +1,4 @@
 open Sia_numeric
-module Trace = Sia_trace.Trace
 
 (* Dutertre-de Moura general simplex over delta-rationals, restructured
    around a persistent tableau shared across theory rounds and
@@ -193,13 +192,6 @@ let touch t d =
 
 let seal_base t = t.base_n <- t.round_n
 
-(* Whether a dense variable is active in the current round — the
-   precondition [Theory] checks before extending a sealed round in place
-   rather than rebuilding it (an extension is scratch-identical only if
-   the appended atoms introduce no external the round has not already
-   numbered). *)
-let is_active t d = d < Array.length t.stamp && t.stamp.(d) = t.round
-
 (* Record a base bound from the round scan. Tie-breaking matches a
    scratch build processing bounds in atom order: only a strictly tighter
    bound replaces the cached one, and a crossing raises the same
@@ -224,17 +216,7 @@ let scan_lower t d value bref =
 
 (* {2 Cuts: push / assert / pop over the trail} *)
 
-(* Per-node trail events fire ~100k times on the full workload, so they
-   hide behind the trace detail level, not just the enabled flag. *)
-let trace_node name t =
-  if Trace.detail () then
-    Trace.instant name
-      ~cat:"simplex"
-      ~args:[ ("depth", Trace.Int (List.length t.marks)) ]
-
-let push t =
-  trace_node "simplex.push" t;
-  t.marks <- t.trail_n :: t.marks
+let push t = t.marks <- t.trail_n :: t.marks
 let at_base t = t.marks = []
 
 (* Re-derive the cut segment of the priority order from [t.cuts]. The
@@ -281,7 +263,6 @@ let assert_cut_bound t ~upper d value ~depth =
   if upper then scan_upper t d value bref else scan_lower t d value bref
 
 let pop t =
-  trace_node "simplex.pop" t;
   match t.marks with
   | [] -> invalid_arg "Simplex.pop: at base level"
   | mark :: rest ->
@@ -550,7 +531,6 @@ let translate t a =
 (* Assert a translated cut (a single-variable branching atom) at root
    distance [depth]. Raises [Conflict] on an immediate crossing. *)
 let assert_cut t trans ~depth =
-  trace_node "simplex.cut" t;
   match trans with
   | TConst { ok; coeff } ->
     if not ok then raise (Conflict [ (Cut depth, coeff) ])

@@ -89,14 +89,6 @@ val seal_base : t -> unit
 (** Freeze the base segment of the priority order; cut slacks asserted
     afterwards are numbered behind it (newest cut first). *)
 
-val is_active : t -> int -> bool
-(** Whether the dense variable has been activated ({!touch}ed) in the
-    current round. Callers extending a sealed round in place (see
-    {!Theory}) must check this for every external of the appended atoms:
-    only when they are all already active does continuing the round's
-    numbering coincide with the scratch numbering of the extended atom
-    list, preserving the determinism contract. *)
-
 type trans =
   | TConst of {
       ok : bool;  (** whether the constant atom is true *)

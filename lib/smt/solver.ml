@@ -49,7 +49,6 @@ type stats = {
   pivots : int;
   tableau_rebuilds : int;
   reused_rounds : int;
-  extended_rounds : int;
   shared_hits : int;
   shared_misses : int;
   pool_hits : int;
@@ -82,7 +81,6 @@ let stats_zero =
     pivots = 0;
     tableau_rebuilds = 0;
     reused_rounds = 0;
-    extended_rounds = 0;
     shared_hits = 0;
     shared_misses = 0;
     pool_hits = 0;
@@ -121,7 +119,6 @@ let stats_map2 i f a b =
     pivots = i a.pivots b.pivots;
     tableau_rebuilds = i a.tableau_rebuilds b.tableau_rebuilds;
     reused_rounds = i a.reused_rounds b.reused_rounds;
-    extended_rounds = i a.extended_rounds b.extended_rounds;
     shared_hits = i a.shared_hits b.shared_hits;
     shared_misses = i a.shared_misses b.shared_misses;
     pool_hits = i a.pool_hits b.pool_hits;
@@ -151,13 +148,13 @@ let stats_since s0 = stats_map2 ( - ) ( -. ) !totals s0
 let pp_stats fmt s =
   Format.fprintf fmt
     "queries=%d (sat=%d unsat=%d unknown=%d) encodings=%d \
-     instances=%d theory-rounds=%d (reused=%d extended=%d rebuilds=%d) \
+     instances=%d theory-rounds=%d (reused=%d rebuilds=%d) \
      pool=%d underapprox=%d fallbacks=%d cegqi=%d \
      conflicts=%d propagations=%d restarts=%d \
      pivots=%d encode=%.3fs search=%.3fs (theory=%.3fs) certs=%d/%d/%d \
      rejected=%d cert=%.3fs"
     s.queries s.sat_answers s.unsat_answers s.unknown_answers
-    s.encodings s.instances s.theory_rounds s.reused_rounds s.extended_rounds
+    s.encodings s.instances s.theory_rounds s.reused_rounds
     s.tableau_rebuilds s.pool_hits s.underapprox_solves s.gen_fallbacks
     s.cegqi_instantiations s.conflicts s.propagations s.restarts s.pivots s.encode_time s.search_time
     s.theory_time s.cert_lemmas s.cert_proofs s.cert_models s.cert_rejections
@@ -391,7 +388,6 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
   let r0 = Sat.n_restarts inst.sat in
   let pv0 = Simplex.pivot_count () in
   let ru0 = Theory.reused_round_count () in
-  let ex0 = Theory.extended_round_count () in
   let rb0 = Theory.rebuild_count () in
   (* Model-padding variables: everything the validated formulas mention.
      Sessions precompute this once per query ([fvars]) — walking every
@@ -548,8 +544,6 @@ let run_instance ?(max_rounds = 50_000) ?node_limit ?(assumptions = [])
       restarts = !totals.restarts + (Sat.n_restarts inst.sat - r0);
       pivots = !totals.pivots + (Simplex.pivot_count () - pv0);
       reused_rounds = !totals.reused_rounds + (Theory.reused_round_count () - ru0);
-      extended_rounds =
-        !totals.extended_rounds + (Theory.extended_round_count () - ex0);
       tableau_rebuilds = !totals.tableau_rebuilds + (Theory.rebuild_count () - rb0);
     };
   if Trace.enabled () then
@@ -585,11 +579,11 @@ let solve ?max_rounds ?node_limit ~is_int f =
   | _ ->
     count_answer (run_instance ?max_rounds ?node_limit ~is_int (make_instance f))
 
-(* Exclude the model (on [distinct_on]) from later queries — permanently,
-   or only while the [guard] literal is assumed. Returns the fresh
-   disequality atoms, which join the abstraction and must be
-   theory-checked by every query the clause is live for. *)
-let block_model ?guard inst ~distinct_on m =
+(* Exclude the model (on [distinct_on]) from later queries for as long as
+   the [guard] literal is false. Returns the fresh disequality atoms, which
+   join the abstraction and must be theory-checked by every query the
+   clause is live for. *)
+let block_model ~guard inst ~distinct_on m =
   let pairs =
     List.concat_map
       (fun v ->
@@ -600,41 +594,8 @@ let block_model ?guard inst ~distinct_on m =
       distinct_on
   in
   let lits = List.map (fun (_, v) -> Sat.pos v) pairs in
-  Sat.add_clause inst.sat (match guard with Some g -> g :: lits | None -> lits);
+  Sat.add_clause inst.sat (guard :: lits);
   pairs
-
-let solve_many ?max_rounds ~is_int ~count ~distinct_on f =
-  if count <= 0 then ([], false)
-  else begin
-    let f = Formula.nnf f in
-    match f with
-    | Formula.False ->
-      bump_query ();
-      ignore (count_answer Unsat);
-      ([], true)
-    | _ -> begin
-      let inst = make_instance f in
-      let models = ref [] in
-      let n = ref 0 in
-      let exhausted = ref false in
-      while !n < count && not !exhausted do
-        bump_query ();
-        match count_answer (run_instance ?max_rounds ~is_int inst) with
-        | Unsat -> exhausted := true
-        | Unknown -> exhausted := true
-        | Sat m ->
-          models := m :: !models;
-          incr n;
-          (* Block this model on the distinguished variables: the next
-             model must differ on at least one of them. The fresh
-             disequality atoms join the abstraction and are theory-checked
-             like any other literal. *)
-          if distinct_on = [] then exhausted := true
-          else ignore (block_model inst ~distinct_on m)
-      done;
-      (List.rev !models, !exhausted)
-    end
-  end
 
 let entails ~is_int p q =
   match solve ~is_int (Formula.and_ [ p; Formula.not_ q ]) with

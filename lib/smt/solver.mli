@@ -25,19 +25,6 @@ val solve :
     [node_limit] caps each integer branch-and-bound check, as in
     {!Session.solve_under}. *)
 
-val solve_many :
-  ?max_rounds:int ->
-  is_int:(int -> bool) ->
-  count:int ->
-  distinct_on:int list ->
-  Formula.t ->
-  model list * bool
-(** Enumerate up to [count] models that pairwise differ on at least one of
-    the [distinct_on] variables, reusing one learned-clause state across
-    the enumeration (each model adds a blocking clause of fresh
-    disequality atoms). The flag is true when the model space was
-    exhausted before [count] models were found. *)
-
 val entails : is_int:(int -> bool) -> Formula.t -> Formula.t -> bool option
 (** [entails p q] decides whether [p] implies [q] ([Some true]),
     exhibits a countermodel ([Some false]), or gives up ([None]).
@@ -136,13 +123,15 @@ module Session : sig
     distinct_on:int list ->
     t ->
     model list * bool
-  (** Like {!solve_many} but on the live session. The per-model blocking
+  (** Enumerate up to [count] models of the session under [assumptions]
+      that pairwise differ on at least one of the [distinct_on]
+      variables, reusing the live solver's learned clauses (each model
+      adds a blocking clause of fresh disequality atoms). The blocking
       clauses are scoped to this call (guarded by a fresh activation
-      literal): models are pairwise distinct on [distinct_on] within the
-      call, and later queries on the session are unaffected — re-exclude
-      earlier models with explicit assumptions if needed. The flag is
-      true when enumeration stopped before [count] models (model space
-      exhausted, or resource limit). *)
+      literal), so later queries on the session are unaffected —
+      re-exclude earlier models with explicit assumptions if needed. The
+      flag is true when enumeration stopped before [count] models (model
+      space exhausted, or resource limit). *)
 
   val n_encodings : t -> int
   (** Distinct side formulas encoded into this session so far. *)
@@ -172,9 +161,6 @@ type stats = {
   pivots : int;  (** simplex pivot operations *)
   tableau_rebuilds : int;  (** scratch rebuilds of a session tableau (bloat escape hatch) *)
   reused_rounds : int;  (** theory rounds served by an already-populated tableau *)
-  extended_rounds : int;
-      (** theory rounds extending the previous round's sealed bound state
-          in place (suffix-only setup, no O(n_base) rescan) *)
   shared_hits : int;
       (** always 0: the shared-context cluster layer that counted these is
           gone. The field stays only because the end-to-end benchmark

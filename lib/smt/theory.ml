@@ -115,10 +115,8 @@ let rec remap_tree pos = function
 (* Reuse counters, sampled as deltas by the solver's stats machinery. *)
 let reused_rounds = ref 0
 let rebuilds = ref 0
-let extended_rounds = ref 0
 let reused_round_count () = !reused_rounds
 let rebuild_count () = !rebuilds
-let extended_round_count () = !extended_rounds
 
 module LitTbl = Hashtbl.Make (struct
   type t = lit
@@ -143,18 +141,6 @@ type entry = {
   fresh : int list; (* witness variables, allocation order *)
 }
 
-(* Record of the last round whose base setup completed conflict-free:
-   enough to recognize the next round's literal list as an extension
-   (same-prefix) and continue the sealed round in place instead of
-   rebuilding its bound state O(n_base) from scratch. Only recorded
-   after a full setup, so its presence certifies the prefix phases ran
-   without a conflict. *)
-type last_round = {
-  lr_lits : lit array;
-  lr_n_base : int; (* flattened atom count of [lr_lits] *)
-  lr_sgen : int; (* structure generation the round was built against *)
-}
-
 type session = {
   is_int : int -> bool;
   fresh_base : int; (* ids >= fresh_base are session-allocated witnesses *)
@@ -163,7 +149,6 @@ type session = {
   mutable simplex : Simplex.t;
   mutable sgen : int; (* structure generation, bumped on rebuild *)
   mutable node_limit : int;
-  mutable last_round : last_round option;
 }
 
 let create_session ~is_int ?(node_limit = 4000) ~max_var () =
@@ -175,7 +160,6 @@ let create_session ~is_int ?(node_limit = 4000) ~max_var () =
     simplex = Simplex.create ();
     sgen = 0;
     node_limit;
-    last_round = None;
   }
 
 let session_fresh_base s = s.fresh_base
@@ -252,11 +236,6 @@ let check_cert_session s lits =
     (Array.of_list !refs, Array.of_list !aes)
   in
   let n_base = Array.length base_ref in
-  (* Take ownership of the previous round's record up front: any path
-     that touches the simplex and exits early (conflict mid-setup,
-     budget exhaustion) must leave no stale extension claim behind. *)
-  let prev_round = s.last_round in
-  s.last_round <- None;
   (* Certificate for an Unsat core: per-core-literal fresh witnesses plus
      the refutation, with [Hyp] references remapped to core positions. *)
   let cert_for core_idx refutation =
@@ -287,40 +266,12 @@ let check_cert_session s lits =
    with Exit -> ());
   match !gcd_hit with
   | Some (i, j) ->
-    (* Pure screen: the tableau was not touched, so the previous round's
-       bound state is intact and the next call may still extend it. *)
-    s.last_round <- prev_round;
     (Unsat [ lits_arr.(i) ], Some (cert_for [ i ] (Cert.Gcd (0, j))))
   | None -> begin
     let orig_vars =
       List.sort_uniq Stdlib.compare (List.concat_map (fun (a, _) -> Atom.vars a) lits)
     in
-    (* Is this round's literal list an extension of the last one? The
-       prefix's entries are memoized, so equal literal prefixes flatten
-       to identical [base_ref] / [base_aent] prefixes — prefix [Hyp]
-       indices keep their meaning across the rounds. *)
-    let lit_eq (a1, p1) (a2, p2) = p1 = p2 && (a1 == a2 || Atom.equal a1 a2) in
-    let lit_prefix prev =
-      Array.length prev <= n_lits
-      &&
-      let ok = ref true in
-      (try
-         for i = 0 to Array.length prev - 1 do
-           if not (lit_eq prev.(i) lits_arr.(i)) then raise Exit
-         done
-       with Exit -> ok := false);
-      !ok
-    in
-    let prefix_of =
-      match prev_round with
-      | Some lr when lr.lr_sgen = s.sgen && lit_prefix lr.lr_lits ->
-        Some lr.lr_n_base
-      | Some _ | None -> None
-    in
-    (* Rebuilding would discard exactly the bound state an extension
-       reuses; skip the bloat check for the one round instead. *)
-    if prefix_of = None then
-      maybe_rebuild s ~needed:(n_base + List.length orig_vars);
+    maybe_rebuild s ~needed:(n_base + List.length orig_vars);
     let sx = s.simplex in
     let is_int' = session_is_int s in
     (* Dense variables and bound translation of a base atom, memoized
@@ -340,22 +291,21 @@ let check_cert_session s lits =
     (* Round setup, mirroring a scratch tableau build of the flattened
        atom list: activate external variables in atom order, then slacks
        in atom order (false constant atoms conflict at their position),
-       then scan all bounds in atom order. The three phases run over
-       [from..n_base-1]: from the start for a scratch round, from the
-       previous round's sealed count for an in-place extension (whose
-       prefix phases already ran, conflict-free, last round). *)
-    let run_phases ~from =
-      for si = from to n_base - 1 do
+       then scan all bounds in atom order. *)
+    let setup_base () =
+      let nv0 = Simplex.n_vars sx in
+      Simplex.begin_round sx;
+      for si = 0 to n_base - 1 do
         let dv, _ = trans_of si in
         Array.iter (fun d -> Simplex.touch sx d) dv
       done;
-      for si = from to n_base - 1 do
+      for si = 0 to n_base - 1 do
         match snd (trans_of si) with
         | Simplex.TConst { ok; coeff } ->
           if not ok then raise (Simplex.Conflict [ (Simplex.Hyp si, coeff) ])
         | Simplex.TBounds { svar; _ } -> Simplex.touch sx svar
       done;
-      for si = from to n_base - 1 do
+      for si = 0 to n_base - 1 do
         match snd (trans_of si) with
         | Simplex.TConst _ -> ()
         | Simplex.TBounds { svar; bnds } ->
@@ -366,47 +316,7 @@ let check_cert_session s lits =
             bnds
       done;
       Simplex.seal_base sx;
-      (* Reaching here means every scan completed: the sealed bound state
-         is a pure function of the literal list, and the next round may
-         extend it. *)
-      s.last_round <- Some { lr_lits = lits_arr; lr_n_base = n_base; lr_sgen = s.sgen }
-    in
-    let setup_base () =
-      let nv0 = Simplex.n_vars sx in
-      Simplex.begin_round sx;
-      run_phases ~from:0;
       if nv0 > 0 && Simplex.n_vars sx = nv0 then incr reused_rounds
-    in
-    (* Extend the sealed round in place: keep the prefix's priorities and
-       bound caches, run the phases over the appended suffix only. Valid
-       only when every external of the suffix is already active — then
-       phase 1 over the suffix would touch nothing in a scratch build
-       either, so continuing the round's numbering reproduces the scratch
-       numbering of the extended list exactly (externals first, slacks
-       next, both in atom order) and the determinism contract holds.
-       Branch-and-bound cut state from last round is gone already: cuts
-       assert through push/pop and every frame is popped on exit. *)
-    let setup_ext from () =
-      (* Counted at entry: a conflict during the suffix scan still means
-         the round was served by the O(suffix) path. *)
-      incr extended_rounds;
-      run_phases ~from
-    in
-    let setup =
-      match prefix_of with
-      | Some from
-        when (let active = ref true in
-              (try
-                 for si = from to n_base - 1 do
-                   let dv, _ = trans_of si in
-                   Array.iter
-                     (fun d -> if not (Simplex.is_active sx d) then raise Exit)
-                     dv
-                 done
-               with Exit -> active := false);
-              !active) ->
-        setup_ext from
-      | Some _ | None -> setup_base
     in
     let cert_ref = function
       | Simplex.Hyp si ->
@@ -481,7 +391,7 @@ let check_cert_session s lits =
            end)
       end
     in
-    match bb ~depth:0 ~setup with
+    match bb ~depth:0 ~setup:setup_base with
     | exception Out_of_budget -> (Unknown, None)
     | Error (core_idx, tree) ->
       (* A branch-derived core can be empty only if infeasibility came

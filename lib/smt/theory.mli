@@ -32,12 +32,13 @@ val check_cert :
 (** {1 Sessions}
 
     A session keeps one incremental {!Simplex.t} alive across consecutive
-    theory rounds of a single SAT search. Each round's literal set is
-    diffed against the tableau's asserted bounds — unchanged literals cost
-    nothing, and branch-and-bound works by push/pop of cut bounds instead
-    of rebuilding the tableau per node. Literal expansions (fresh
-    divisibility witnesses) and bound tokens are allocated once per
-    distinct literal and stay stable for the session's lifetime. *)
+    theory rounds of a single SAT search. Each round re-scans its
+    literals' bounds over the shared tableau — literals seen before cost
+    no re-translation and add no rows — and branch-and-bound works by
+    push/pop of cut bounds instead of rebuilding the tableau per node.
+    Literal expansions (fresh divisibility witnesses) and bound tokens
+    are allocated once per distinct literal and stay stable for the
+    session's lifetime. *)
 
 type session
 
@@ -68,15 +69,6 @@ val check_cert_session : session -> lit list -> verdict * Cert.theory_cert optio
 val reused_round_count : unit -> int
 (** Cumulative rounds served by an already-populated tableau (monotone,
     process-wide); callers sample deltas. *)
-
-val extended_round_count : unit -> int
-(** Cumulative rounds whose literal list extended the previous round's
-    (same prefix, appended suffix) and were served by continuing the
-    sealed round in place — only the suffix's bounds were scanned,
-    instead of rebuilding bound state O(n_base) from scratch. Monotone,
-    process-wide; callers sample deltas. A subset of
-    {!reused_round_count}'s complement: extended rounds are counted here,
-    not there. *)
 
 val rebuild_count : unit -> int
 (** Cumulative scratch rebuilds triggered by the tableau-bloat escape

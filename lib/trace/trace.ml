@@ -27,7 +27,6 @@ type event = {
    one piece a worker must shed ([reset]) before collecting its own
    events. *)
 let on = ref false
-let detail_on = ref false
 let epoch = ref 0.0
 
 (* gettimeofday is the only clock forked children share with the parent;
@@ -51,15 +50,13 @@ let dropped_n = ref 0
 let cap = 4_000_000
 
 let enabled () = !on
-let detail () = !on && !detail_on
 let dropped () = !dropped_n
 
-let enable ?(detail = false) () =
+let enable () =
   if not !on then begin
     on := true;
     if !epoch = 0.0 then epoch := Unix.gettimeofday ()
-  end;
-  if detail then detail_on := true
+  end
 
 let disable () = on := false
 

@@ -14,8 +14,7 @@
     {!span}, one closure call) per instrumentation site and allocates
     nothing. Instrumentation sites whose {e argument construction} is
     itself costly guard with {!enabled} before building the argument
-    list; per-simplex-node events additionally hide behind the {!detail}
-    level. See DESIGN.md §16 for the full overhead budget.
+    list. See DESIGN.md §16 for the full overhead budget.
 
     {2 Cross-process reassembly}
 
@@ -60,15 +59,10 @@ val enabled : unit -> bool
 (** Whether tracing is on. Emitting functions check this themselves;
     call it only to guard costly argument construction. *)
 
-val detail : unit -> bool
-(** Whether the high-volume detail level is also on (per-simplex-node
-    push/pop/cut events). Implies {!enabled}. *)
-
-val enable : ?detail:bool -> unit -> unit
+val enable : unit -> unit
 (** Turn tracing on. Idempotent: enabling an already-enabled trace keeps
     the buffer and the epoch (so late enablers join the same timeline).
-    The first enable anchors the epoch. [~detail:true] additionally turns
-    on per-simplex-node events. *)
+    The first enable anchors the epoch. *)
 
 val disable : unit -> unit
 (** Turn tracing off. The buffer is kept (it can still be exported). *)

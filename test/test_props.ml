@@ -140,6 +140,11 @@ let prop_linexpr_eval_linear =
                  (Linexpr.add (sv b1 1) (c k1)))
               lookup))
 
+(* Model enumeration on a session built from the formula alone. *)
+let solve_many ~count ~distinct_on f =
+  Solver.Session.solve_many_under ~count ~distinct_on
+    (Solver.Session.create ~is_int:all_int f)
+
 let prop_solve_many_distinct_and_sound =
   QCheck.Test.make ~name:"solve_many models distinct and sound" ~count:100
     (QCheck.int_range 3 12)
@@ -153,9 +158,7 @@ let prop_solve_many_distinct_and_sound =
             Formula.atom (Atom.mk_le (v 1) (c 20));
           ]
       in
-      let models, exhausted =
-        Solver.solve_many ~is_int:all_int ~count:n ~distinct_on:[ 0; 1 ] f
-      in
+      let models, exhausted = solve_many ~count:n ~distinct_on:[ 0; 1 ] f in
       List.length models = n
       && (not exhausted)
       && List.for_all (fun m -> Formula.eval f (Solver.model_value m)) models
@@ -172,7 +175,7 @@ let test_solve_many_exhausts () =
     Formula.and_
       [ Formula.atom (Atom.mk_ge (v 0) (c 0)); Formula.atom (Atom.mk_le (v 0) (c 2)) ]
   in
-  let models, exhausted = Solver.solve_many ~is_int:all_int ~count:10 ~distinct_on:[ 0 ] f in
+  let models, exhausted = solve_many ~count:10 ~distinct_on:[ 0 ] f in
   Alcotest.(check int) "three models" 3 (List.length models);
   Alcotest.(check bool) "exhausted" true exhausted
 
@@ -333,7 +336,7 @@ let test_dvd_negation_roundtrip () =
   in
   let dvd = Formula.atom (Atom.mk_dvd (Bigint.of_int 3) (v 0)) in
   let count f =
-    fst (Solver.solve_many ~is_int:all_int ~count:20 ~distinct_on:[ 0 ] f) |> List.length
+    fst (solve_many ~count:20 ~distinct_on:[ 0 ] f) |> List.length
   in
   Alcotest.(check int) "multiples of 3 in [0,10)" 4 (count (Formula.and_ [ box; dvd ]));
   Alcotest.(check int) "non-multiples" 6 (count (Formula.and_ [ box; Formula.not_ dvd ]))
