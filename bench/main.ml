@@ -181,8 +181,8 @@ let run_motivating () =
   (match result.Rewrite.synthesized with
    | Some p -> Printf.printf "synthesized: %s\n" (Printer.string_of_pred p)
    | None -> Printf.printf "synthesis failed\n");
-  let li, ord = Tpch.generate ~sf:(sf_one ()) () in
-  let tables = [ ("lineitem", li); ("orders", ord) ] in
+  let tables = Tpch.generate_all ~sf:(sf_one ()) () in
+  let li = List.assoc "lineitem" tables in
   let orig_plan, rew_plan = Rewrite.plans Schema.tpch result in
   let out1, t1 = Exec.time (fun () -> Exec.run ~tables orig_plan) in
   (match rew_plan with
@@ -379,8 +379,8 @@ let run_fig9 () =
   (* A rewrite that changes the result multiset fails the run. *)
   let violations = ref 0 in
   let run_sf label sf =
-    let li, ord = Tpch.generate ~sf () in
-    let tables = [ ("lineitem", li); ("orders", ord) ] in
+    let tables = Tpch.generate_all ~sf () in
+    let li = List.assoc "lineitem" tables in
     let results =
       List.map
         (fun ((gq : Qgen.gen_query), p1) ->
@@ -1035,7 +1035,8 @@ let run_micro () =
            ~target_cols:[ "l_shipdate" ])
   in
   let join_test () =
-    let li, ord = Tpch.generate ~sf:0.002 () in
+    let tables = Tpch.generate_all ~sf:0.002 () in
+    let li = List.assoc "lineitem" tables and ord = List.assoc "orders" tables in
     fun () ->
       ignore
         (Exec.hash_join ~left:li ~right:ord ~left_key:"l_orderkey" ~right_key:"o_orderkey")

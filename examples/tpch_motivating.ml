@@ -37,9 +37,9 @@ let () =
   Printf.printf "Q2: %s\n\n" (Printer.string_of_query q2);
 
   Printf.printf "generating TPC-H data at scale factor %.2f ...\n%!" sf;
-  let li, ord = Tpch.generate ~sf () in
+  let tables = Tpch.generate_all ~sf () in
+  let li = List.assoc "lineitem" tables and ord = List.assoc "orders" tables in
   Printf.printf "lineitem: %d rows, orders: %d rows\n\n" li.Table.nrows ord.Table.nrows;
-  let tables = [ ("lineitem", li); ("orders", ord) ] in
 
   let p1_plan = Planner.plan Schema.tpch q1 in
   let p2_plan = Planner.plan Schema.tpch q2 in

@@ -22,8 +22,8 @@ let () =
     | None -> 5
   in
   let queries = Qgen.generate ~seed:2025 ~count:n () in
-  let li, ord = Tpch.generate ~sf:0.05 () in
-  let tables = [ ("lineitem", li); ("orders", ord) ] in
+  let tables = Tpch.generate_all ~sf:0.05 () in
+  let li = List.assoc "lineitem" tables and ord = List.assoc "orders" tables in
   Printf.printf "data: %d lineitem rows, %d orders rows\n\n" li.Table.nrows ord.Table.nrows;
   List.iter
     (fun (gq : Qgen.gen_query) ->

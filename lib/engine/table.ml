@@ -9,44 +9,21 @@ type t = {
   dicts : Strdict.t option array;
 }
 
-let side_arrays ~col_names ?(nulls = []) ?(dicts = []) () =
-  let n = List.length col_names in
-  let names = Array.of_list col_names in
-  let lookup assoc what =
-    List.iter
-      (fun (name, _) ->
-        if not (Array.exists (String.equal name) names) then
-          invalid_arg (Printf.sprintf "Table: %s for unknown column %s" what name))
-      assoc;
-    Array.init n (fun i -> List.assoc_opt names.(i) assoc)
-  in
-  (lookup nulls "null mask", lookup dicts "dictionary")
-
-let create ~name ~col_names ?nulls ?dicts ~rows () =
-  let ncols = List.length col_names in
-  let nrows = List.length rows in
-  let cols = Array.init ncols (fun _ -> Array.make nrows 0) in
-  List.iteri
-    (fun r row ->
-      if Array.length row <> ncols then invalid_arg "Table.create: ragged row";
-      Array.iteri (fun c v -> cols.(c).(r) <- v) row)
-    rows;
-  let null_masks, dicts = side_arrays ~col_names ?nulls ?dicts () in
-  Array.iter
-    (function
-      | Some m when Array.length m <> nrows ->
-        invalid_arg "Table.create: null mask length mismatch"
-      | _ -> ())
-    null_masks;
-  { name; col_names = Array.of_list col_names; cols; nrows; null_masks; dicts }
-
-let of_columns ~name ?nulls ?dicts cols =
+let of_columns ~name ?(nulls = []) ?(dicts = []) cols =
   let nrows = match cols with [] -> 0 | (_, c) :: _ -> Array.length c in
   List.iter
     (fun (_, c) -> if Array.length c <> nrows then invalid_arg "Table.of_columns: ragged")
     cols;
-  let col_names = List.map fst cols in
-  let null_masks, dicts = side_arrays ~col_names ?nulls ?dicts () in
+  let col_names = Array.of_list (List.map fst cols) in
+  let by_column assoc what =
+    List.iter
+      (fun (cname, _) ->
+        if not (Array.exists (String.equal cname) col_names) then
+          invalid_arg (Printf.sprintf "Table: %s for unknown column %s" what cname))
+      assoc;
+    Array.map (fun cname -> List.assoc_opt cname assoc) col_names
+  in
+  let null_masks = by_column nulls "null mask" in
   Array.iter
     (function
       | Some m when Array.length m <> nrows ->
@@ -55,11 +32,11 @@ let of_columns ~name ?nulls ?dicts cols =
     null_masks;
   {
     name;
-    col_names = Array.of_list col_names;
+    col_names;
     cols = Array.of_list (List.map snd cols);
     nrows;
     null_masks;
-    dicts;
+    dicts = by_column dicts "dictionary";
   }
 
 let col_index t name =

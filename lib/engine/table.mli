@@ -15,25 +15,16 @@ type t = {
       (** per column; [Some d] marks an interned string column *)
 }
 
-val create :
-  name:string ->
-  col_names:string list ->
-  ?nulls:(string * bool array) list ->
-  ?dicts:(string * Sia_sql.Strdict.t) list ->
-  rows:int array list ->
-  unit ->
-  t
-(** Rows given row-major; transposed internally. [nulls] and [dicts]
-    attach null masks and string dictionaries by column name.
-    @raise Invalid_argument on ragged input, an unknown column name, or
-    a mask length mismatch. *)
-
 val of_columns :
   name:string ->
   ?nulls:(string * bool array) list ->
   ?dicts:(string * Sia_sql.Strdict.t) list ->
   (string * int array) list ->
   t
+(** A table from its named columns, in order. [nulls] and [dicts]
+    attach null masks and string dictionaries by column name.
+    @raise Invalid_argument on columns of different lengths, a mask or
+    dictionary for an unknown column, or a mask of the wrong length. *)
 
 val col_index : t -> string -> int
 (** @raise Not_found for unknown column names. *)

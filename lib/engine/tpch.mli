@@ -6,21 +6,26 @@
     receipt = ship + U(1,30). Dates are stored as day counts
     (see {!Sia_sql.Date}); prices as cents; categorical string columns
     as dictionary codes drawn against the catalog's interned domains
-    (DESIGN.md §21.2). Deterministic per seed: the string columns come
-    from an independently seeded stream, so the numeric/date columns are
-    byte-identical to the pre-§21 generator. *)
+    (DESIGN.md §21.2).
+
+    Deterministic per seed, from three independently seeded streams.
+    [[|seed|]]: per order o_custkey, o_totalprice, o_orderdate and the
+    line count; per line the ship, commit and receipt offsets, then
+    l_tax, l_discount, l_extendedprice, l_quantity, l_suppkey,
+    l_partkey. [[|seed; 0x51a|]]: per lineitem l_shipinstruct,
+    l_shipmode, l_linestatus, l_returnflag; then every o_orderstatus,
+    then every o_orderpriority. [[|seed; 0x8ab1e5|]]: customer, part,
+    partsupp and supplier, one whole column at a time. Their column
+    lists are literals, which ocamlopt evaluates right to left, so each
+    draws its last column first (an acctbal draws its null mask, then
+    its values). test/tpch_digest.expected pins every column. *)
 
 val orders_per_sf : int
 (** 1_500_000, the TPC-H constant. *)
 
-val generate : sf:float -> ?seed:int -> unit -> Table.t * Table.t
-(** [(lineitem, orders)] at the given scale factor, including the
-    categorical string columns (l_returnflag, l_linestatus, l_shipmode,
-    l_shipinstruct; o_orderstatus, o_orderpriority). *)
-
 val generate_all : sf:float -> ?seed:int -> unit -> (string * Table.t) list
-(** All 8 TPC-H tables keyed by name, in catalog order: the {!generate}
-    pair plus customer, part, partsupp, supplier, nation and region.
+(** All 8 TPC-H tables keyed by name, in catalog order: lineitem,
+    orders, customer, part, partsupp, supplier, nation and region.
     The nullable account balances (c_acctbal, s_acctbal) carry a ~3%
     null mask. The small tables scale with [sf] like dbgen (nation and
     region are fixed at 25 and 5 rows). *)

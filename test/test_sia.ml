@@ -345,8 +345,7 @@ let test_rewrite_end_to_end () =
   in
   let r = Rewrite.rewrite_for_table cat q ~target_table:"lineitem" in
   let q' = Option.get r.Rewrite.rewritten in
-  let li, ord = Tpch.generate ~sf:0.002 ~seed:3 () in
-  let tables = [ ("lineitem", li); ("orders", ord) ] in
+  let tables = Tpch.generate_all ~sf:0.002 ~seed:3 () in
   let out1 = Exec.run ~tables (Planner.plan cat q) in
   let out2 = Exec.run ~tables (Planner.plan cat q') in
   Alcotest.(check int) "rewrite preserves semantics on data" out1.Table.nrows
