@@ -1,9 +1,9 @@
 (* Benchmark harness: one subcommand per table/figure of the paper's
    evaluation (section 6), plus the motivating example, the section 6.7
-   limitation study, a QE-method ablation, and bechamel micro-benchmarks.
+   limitation study, and a QE-method ablation.
 
    Usage:  main.exe [motivating|fig6|table2|table3|fig7|fig8|fig9|limits|
-                     ablation|bench|suite|numeric|micro|all]
+                     ablation|bench|suite|all]
                     [--paranoid] [--jobs N] [--smoke] [--baseline FILE]
                     [--dump-sql FILE] [--trace FILE] [--metrics]
    --paranoid audits every solver verdict through the independent
@@ -28,8 +28,6 @@
 module Ast = Sia_sql.Ast
 module Printer = Sia_sql.Printer
 module Schema = Sia_relalg.Schema
-module Planner = Sia_relalg.Planner
-module Cost = Sia_relalg.Cost
 module Tpch = Sia_engine.Tpch
 module Eval = Sia_engine.Eval
 module Exec = Sia_engine.Exec
@@ -164,6 +162,37 @@ let rows_of_size k =
   List.filter (fun r -> List.length r.subset = k) (Lazy.force all_rows)
 
 (* ------------------------------------------------------------------ *)
+(* Executing a rewrite                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Both plans of an attached rewrite run once each on [tables], timed,
+   with their result multisets compared; [None] when nothing was
+   attached. A rewrite that is not [preserved] changed the query's
+   answer: its caller fails the run. *)
+type executed = {
+  rows_orig : int;
+  rows_rew : int;
+  s_orig : float;
+  s_rew : float;
+  preserved : bool;
+}
+
+let execute tables r =
+  match Rewrite.plans Schema.tpch r with
+  | _, None -> None
+  | orig, Some rew ->
+    let out1, s_orig = Exec.time (fun () -> Exec.run ~tables orig) in
+    let out2, s_rew = Exec.time (fun () -> Exec.run ~tables rew) in
+    Some
+      {
+        rows_orig = out1.Sia_engine.Table.nrows;
+        rows_rew = out2.Sia_engine.Table.nrows;
+        s_orig;
+        s_rew;
+        preserved = Sia_engine.Table.equal_multiset out1 out2;
+      }
+
+(* ------------------------------------------------------------------ *)
 (* Motivating example (section 2 / 3.2)                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -183,21 +212,15 @@ let run_motivating () =
    | None -> Printf.printf "synthesis failed\n");
   let tables = Tpch.generate_all ~sf:(sf_one ()) () in
   let li = List.assoc "lineitem" tables in
-  let orig_plan, rew_plan = Rewrite.plans Schema.tpch result in
-  let out1, t1 = Exec.time (fun () -> Exec.run ~tables orig_plan) in
-  (match rew_plan with
-   | None -> ()
-   | Some plan ->
-     let out2, t2 = Exec.time (fun () -> Exec.run ~tables plan) in
-     Printf.printf "original:  %d rows in %.3f s\n" out1.Sia_engine.Table.nrows t1;
-     Printf.printf "rewritten: %d rows in %.3f s  (speedup %.2fx)\n"
-       out2.Sia_engine.Table.nrows t2 (t1 /. t2);
-     let preserved = Sia_engine.Table.equal_multiset out1 out2 in
-     Printf.printf "semantics preserved: %b\n" preserved;
-     (match result.Rewrite.synthesized with
-      | Some p -> Printf.printf "selectivity on lineitem: %.3f\n" (Eval.selectivity li p)
-      | None -> ());
-     if not preserved then exit 1)
+  match (execute tables result, result.Rewrite.synthesized) with
+  | Some e, Some p ->
+    Printf.printf "original:  %d rows in %.3f s\n" e.rows_orig e.s_orig;
+    Printf.printf "rewritten: %d rows in %.3f s  (speedup %.2fx)\n" e.rows_rew
+      e.s_rew (e.s_orig /. e.s_rew);
+    Printf.printf "semantics preserved: %b\n" e.preserved;
+    Printf.printf "selectivity on lineitem: %.3f\n" (Eval.selectivity li p);
+    if not e.preserved then exit 1
+  | None, _ | _, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 6: case study                                                    *)
@@ -357,78 +380,6 @@ let run_fig8 () =
   in
   show "TRUE" (fun s -> s.Synthesize.n_true);
   show "FALSE" (fun s -> s.Synthesize.n_false)
-
-(* ------------------------------------------------------------------ *)
-(* Fig 9 + Table 4: runtime impact and selectivity                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_fig9 () =
-  header "Fig 9 / Table 4: runtime impact of rewritten queries";
-  (* Reuse the 3-column (full lineitem set) synthesis per query. *)
-  let rows = rows_of_size 3 in
-  let rewritten =
-    List.filter_map
-      (fun r ->
-        match Synthesize.predicate r.cell.sia with
-        | Some p1 -> Some (r.gq, p1)
-        | None -> None)
-      rows
-  in
-  Printf.printf "queries with a synthesized lineitem-only predicate: %d / %d\n"
-    (List.length rewritten) (List.length rows);
-  (* A rewrite that changes the result multiset fails the run. *)
-  let violations = ref 0 in
-  let run_sf label sf =
-    let tables = Tpch.generate_all ~sf () in
-    let li = List.assoc "lineitem" tables in
-    let results =
-      List.map
-        (fun ((gq : Qgen.gen_query), p1) ->
-          let q = gq.Qgen.query in
-          let q' =
-            match q.Ast.where with
-            | Some w -> { q with Ast.where = Some (Ast.And (w, p1)) }
-            | None -> { q with Ast.where = Some p1 }
-          in
-          let plan = Planner.plan Schema.tpch q in
-          let plan' = Planner.plan Schema.tpch q' in
-          let out1, t1 = Exec.time (fun () -> Exec.run ~tables plan) in
-          let out2, t2 = Exec.time (fun () -> Exec.run ~tables plan') in
-          if not (Sia_engine.Table.equal_multiset out1 out2) then begin
-            incr violations;
-            Printf.printf "  !! semantics violation on query %d\n" gq.Qgen.id
-          end;
-          (gq.Qgen.id, t1, t2, Eval.selectivity li p1))
-        rewritten
-    in
-    let faster = List.filter (fun (_, t1, t2, _) -> t2 < t1) results in
-    let faster2x = List.filter (fun (_, t1, t2, _) -> t2 *. 2.0 < t1) results in
-    let slower = List.filter (fun (_, t1, t2, _) -> t2 >= t1) results in
-    let slower2x = List.filter (fun (_, t1, t2, _) -> t2 > t1 *. 2.0) results in
-    let avg_sel rs =
-      match rs with
-      | [] -> Float.nan
-      | _ ->
-        List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 rs
-        /. float_of_int (List.length rs)
-    in
-    Printf.printf
-      "%s: faster %d (avg sel %.2f) | 2x faster %d (avg sel %.2f) | slower %d (avg sel %.2f) | 2x slower %d (avg sel %.2f)\n"
-      label (List.length faster) (avg_sel faster) (List.length faster2x)
-      (avg_sel faster2x) (List.length slower) (avg_sel slower) (List.length slower2x)
-      (avg_sel slower2x);
-    (* Scatter data, paper-style: original vs rewritten seconds. *)
-    Printf.printf "  scatter (id, original_s, rewritten_s):\n";
-    List.iter
-      (fun (id, t1, t2, _) -> Printf.printf "    %3d  %8.4f  %8.4f\n" id t1 t2)
-      results
-  in
-  run_sf "scale factor one" (sf_one ());
-  run_sf "scale factor ten" (sf_ten ());
-  if !violations > 0 then begin
-    Printf.printf "%d semantics violation(s)\n" !violations;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Section 6.7 limitation                                               *)
@@ -958,217 +909,97 @@ let run_suite () =
     ~emit ()
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel)                                          *)
+(* Fig 9 + Table 4: runtime impact and selectivity                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_micro () =
-  header "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let v = Linexpr.var in
-  let c = Linexpr.of_int in
-  let simplex_test () =
-    let atoms =
-      [
-        Atom.mk_ge (v 0) (c 1);
-        Atom.mk_ge (v 1) (c 1);
-        Atom.mk_le (Linexpr.add (v 0) (v 1)) (c 10);
-        Atom.mk_le (Linexpr.sub (v 0) (v 1)) (c 3);
-      ]
-    in
-    fun () -> ignore (Simplex.solve atoms)
+(* The queries of the paper's sweep, each rewritten for every lineitem
+   column of its target predicate (the column selection of run_suite),
+   through the batch pipeline, so --jobs and --paranoid apply as in
+   "suite". Both plans of every attached rewrite run at the two scale
+   factors; a query with no lineitem column is not rewritten. *)
+let run_fig9 () =
+  header "Fig 9 / Table 4: runtime impact of rewritten queries";
+  let queries = Qgen.generate ~seed:42 ~count:(n_queries ()) () in
+  let tasks =
+    List.filter_map
+      (fun (gq : Qgen.gen_query) ->
+        let q = gq.Qgen.query in
+        match
+          Rewrite.table_target_cols Schema.tpch ~from:q.Ast.from
+            ~pred:(Rewrite.target_pred Schema.tpch q) ~target_table:"lineitem"
+        with
+        | [] -> None
+        | cols -> Some (gq, (q, cols)))
+      queries
   in
-  let solver_test () =
-    let f =
-      Formula.and_
-        [
-          Formula.or_
-            [
-              Formula.atom (Atom.mk_le (v 0) (c 0));
-              Formula.atom (Atom.mk_ge (v 0) (c 10));
-            ];
-          Formula.atom (Atom.mk_ge (v 1) (v 0));
-          Formula.atom (Atom.mk_le (v 1) (c 20));
-        ]
-    in
-    fun () -> ignore (Solver.solve ~is_int:(fun _ -> true) f)
+  let results =
+    Rewrite.rewrite_all
+      ~cfg:{ (batch_cfg ()) with Config.jobs = !jobs_n }
+      Schema.tpch (List.map snd tasks)
   in
-  let fm_test () =
-    let atoms =
-      [
-        Atom.mk_lt (Linexpr.sub (v 1) (v 2)) (c 20);
-        Atom.mk_lt (Linexpr.sub (v 0) (v 1)) (Linexpr.add (Linexpr.sub (v 1) (v 2)) (c 10));
-        Atom.mk_lt (v 2) (c 0);
-      ]
-    in
-    fun () -> ignore (Fourier_motzkin.eliminate [ 2 ] atoms)
+  let rewritten =
+    List.filter_map
+      (fun (((gq : Qgen.gen_query), _), (r : Rewrite.rewrite_result)) ->
+        match r.Rewrite.synthesized with
+        | Some p1 when Option.is_some r.Rewrite.rewritten -> Some (gq.Qgen.id, r, p1)
+        | Some _ | None -> None)
+      (List.combine tasks results)
   in
-  let cooper_test () =
-    let cube =
-      [
-        (Atom.mk_lt (Linexpr.sub (v 1) (v 2)) (c 20), true);
-        (Atom.mk_lt (v 2) (c 0), true);
-      ]
-    in
-    fun () -> ignore (Cooper.eliminate_cube 2 cube)
-  in
-  let svm_test () =
-    let rand = Random.State.make [| 3 |] in
-    let mk label =
-      List.init 40 (fun _ ->
-          let x = Random.State.float rand 10.0 and y = Random.State.float rand 10.0 in
-          [| x; y +. label |])
-    in
-    let pos = mk 5.0 and neg = mk (-5.0) in
-    fun () -> ignore (Sia_svm.Svm.train ~epochs:50 ~pos ~neg ())
-  in
-  let synth_test () =
-    let q = motivating_query in
-    let pred = Rewrite.rewrite_for_table Schema.tpch q ~target_table:"lineitem" in
-    ignore pred;
-    fun () ->
-      ignore
-        (Synthesize.synthesize Schema.tpch ~from:[ "lineitem"; "orders" ]
-           ~pred:
-             (Sia_sql.Parser.parse_predicate
-                "l_shipdate - o_orderdate < 20 AND o_orderdate < DATE '1993-06-01'")
-           ~target_cols:[ "l_shipdate" ])
-  in
-  let join_test () =
-    let tables = Tpch.generate_all ~sf:0.002 () in
-    let li = List.assoc "lineitem" tables and ord = List.assoc "orders" tables in
-    fun () ->
-      ignore
-        (Exec.hash_join ~left:li ~right:ord ~left_key:"l_orderkey" ~right_key:"o_orderkey")
-  in
-  let tests =
-    Test.make_grouped ~name:"sia"
-      [
-        Test.make ~name:"simplex-solve" (Staged.stage (simplex_test ()));
-        Test.make ~name:"dpllt-solve" (Staged.stage (solver_test ()));
-        Test.make ~name:"fm-project" (Staged.stage (fm_test ()));
-        Test.make ~name:"cooper-project" (Staged.stage (cooper_test ()));
-        Test.make ~name:"svm-train" (Staged.stage (svm_test ()));
-        Test.make ~name:"synthesize-1col" (Staged.stage (synth_test ()));
-        Test.make ~name:"hash-join-sf0.002" (Staged.stage (join_test ()));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.8) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
+  Printf.printf "queries rewritten for lineitem: %d / %d\n" (List.length rewritten)
+    (List.length queries);
+  Printf.printf "  not attached (no lineitem column in the predicate): %d\n"
+    (List.length queries - List.length tasks);
+  List.iter
+    (fun why ->
+      Printf.printf "  not attached (%s): %d\n" (Rewrite.not_attached_reason why)
+        (List.length (List.filter (fun r -> Rewrite.not_attached r = Some why) results)))
+    [ Rewrite.Already_pushed; Rewrite.No_predicate ];
+  (* A rewrite that changes the result multiset fails the run. *)
+  let violations = ref 0 in
+  let run_sf label sf =
+    let tables = Tpch.generate_all ~sf () in
+    let li = List.assoc "lineitem" tables in
     let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
+      List.filter_map
+        (fun (id, r, p1) ->
+          Option.map
+            (fun e ->
+              if not e.preserved then begin
+                incr violations;
+                Printf.printf "  !! semantics violation on query %d\n" id
+              end;
+              (id, e.s_orig, e.s_rew, Eval.selectivity li p1))
+            (execute tables r))
+        rewritten
     in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-        tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Numeric-layer throughput                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Ops/sec over the three operand regimes the [Bigint] representation
-   distinguishes — int fast path, values hugging the int boundary
-   (promotion/demotion traffic), and multi-limb magnitudes — plus the
-   [Rat] both-int fast paths on top. Each (regime, op) runs batches of
-   1,024 ops over the same fixed wall slice, so the slowest regime costs
-   no more time than the fastest. One JSON line for the artifact. *)
-let run_numeric () =
-  header "numeric: Bigint/Rat throughput by operand regime (JSON)";
-  let open Sia_numeric in
-  let rand = Random.State.make [| 0x51a; 42 |] in
-  let slice_s = 0.25 in
-  let small () = Bigint.of_int (Random.State.int rand 2_000_001 - 1_000_000) in
-  let edge () =
-    let off = Random.State.int rand 1_000_000 in
-    let b = Bigint.sub (Bigint.of_int max_int) (Bigint.of_int off) in
-    if Random.State.bool rand then b else Bigint.neg b
-  in
-  let big () =
-    let b =
-      Bigint.add
-        (Bigint.mul (Bigint.of_int max_int) (Bigint.of_int (1 + Random.State.int rand 1000)))
-        (small ())
+    let faster = List.filter (fun (_, t1, t2, _) -> t2 < t1) results in
+    let faster2x = List.filter (fun (_, t1, t2, _) -> t2 *. 2.0 < t1) results in
+    let slower = List.filter (fun (_, t1, t2, _) -> t2 >= t1) results in
+    let slower2x = List.filter (fun (_, t1, t2, _) -> t2 > t1 *. 2.0) results in
+    let avg_sel rs =
+      match rs with
+      | [] -> Float.nan
+      | _ ->
+        List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 rs
+        /. float_of_int (List.length rs)
     in
-    if Random.State.bool rand then b else Bigint.neg b
+    Printf.printf
+      "%s: faster %d (avg sel %.2f) | 2x faster %d (avg sel %.2f) | slower %d (avg sel %.2f) | 2x slower %d (avg sel %.2f)\n"
+      label (List.length faster) (avg_sel faster) (List.length faster2x)
+      (avg_sel faster2x) (List.length slower) (avg_sel slower) (List.length slower2x)
+      (avg_sel slower2x);
+    (* Scatter data, paper-style: original vs rewritten seconds. *)
+    Printf.printf "  scatter (id, original_s, rewritten_s):\n";
+    List.iter
+      (fun (id, t1, t2, _) -> Printf.printf "    %3d  %8.4f  %8.4f\n" id t1 t2)
+      results
   in
-  let mk gen = Array.init 1024 (fun _ -> gen ()) in
-  (* Ops/s of [op] over the operand arrays: whole batches of 1,024 ops
-     run until the wall slice is up. *)
-  let rate op xs ys =
-    let t0 = Unix.gettimeofday () in
-    let n = ref 0 and dt = ref 0.0 in
-    while !dt < slice_s do
-      for i = 0 to 1023 do
-        ignore (Sys.opaque_identity (op xs.(i) ys.((i * 7) land 1023)))
-      done;
-      n := !n + 1024;
-      dt := Unix.gettimeofday () -. t0
-    done;
-    float_of_int !n /. !dt
-  in
-  let nonzero a = Array.map (fun b -> if Bigint.is_zero b then Bigint.one else b) a in
-  let regimes = [ ("small", small); ("edge", edge); ("big", big) ] in
-  let fields = ref [] in
-  List.iter
-    (fun (name, gen) ->
-      let xs = mk gen and ys = mk gen in
-      let ysn = nonzero ys in
-      let ops =
-        [
-          ("add", rate Bigint.add xs ys);
-          ("sub", rate Bigint.sub xs ys);
-          ("mul", rate Bigint.mul xs ys);
-          ("div", rate Bigint.div xs ysn);
-          ("gcd", rate Bigint.gcd xs ys);
-          ("compare", rate Bigint.compare xs ys);
-        ]
-      in
-      List.iter
-        (fun (op, rate) ->
-          Printf.printf "  bigint %-5s %-8s %12.2e ops/s\n%!" name op rate;
-          fields := (Printf.sprintf "bigint_%s_%s" name op, Json.Num rate) :: !fields)
-        ops)
-    regimes;
-  (* Rat: both-int fast path vs big-component rationals. *)
-  let mk_rat gen =
-    let dens = nonzero (mk gen) in
-    Array.init 1024 (fun i -> Rat.make (gen ()) (Bigint.abs dens.(i)))
-  in
-  List.iter
-    (fun (name, gen) ->
-      let xs = mk_rat gen and ys = mk_rat gen in
-      let ops =
-        [
-          ("add", rate Rat.add xs ys);
-          ("mul", rate Rat.mul xs ys);
-          ("compare", rate Rat.compare xs ys);
-        ]
-      in
-      List.iter
-        (fun (op, rate) ->
-          Printf.printf "  rat    %-5s %-8s %12.2e ops/s\n%!" name op rate;
-          fields := (Printf.sprintf "rat_%s_%s" name op, Json.Num rate) :: !fields)
-        ops)
-    [ ("small", small); ("big", big) ];
-  print_endline
-    (Json.to_string
-       (Json.Obj (("bench", Json.Str "numeric") :: List.rev !fields)))
+  run_sf "scale factor one" (sf_one ());
+  run_sf "scale factor ten" (sf_ten ());
+  if !violations > 0 then begin
+    Printf.printf "%d semantics violation(s)\n" !violations;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -1241,8 +1072,6 @@ let () =
    | "ablation" -> run_ablation ()
    | "bench" | "perf" -> run_perf ()
    | "suite" -> run_suite ()
-   | "numeric" -> run_numeric ()
-   | "micro" -> run_micro ()
    | "all" ->
      run_motivating ();
      run_fig6 ();
@@ -1252,11 +1081,10 @@ let () =
      run_fig8 ();
      run_fig9 ();
      run_limits ();
-     run_ablation ();
-     run_micro ()
+     run_ablation ()
    | other ->
      Printf.eprintf
-       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|numeric|micro|all)\n"
+       "unknown experiment %s (expected motivating|fig6|table2|table3|fig7|fig8|fig9|limits|ablation|bench|suite|all)\n"
        other;
      exit 1);
   (match !trace_file with

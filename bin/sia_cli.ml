@@ -2,7 +2,6 @@
    over the requested columns, print the rewritten query and the plans.
    Several -c groups run as one batch, in parallel when --jobs > 1. *)
 
-module Ast = Sia_sql.Ast
 module Parser = Sia_sql.Parser
 module Printer = Sia_sql.Printer
 module Schema = Sia_relalg.Schema

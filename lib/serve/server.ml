@@ -44,8 +44,15 @@ type memo = {
   mutable rendered : (Cache.entry * Protocol.reply) option;
 }
 
+(* Catalog and config are fixed for the daemon's lifetime; the
+   process-global solver hot state (the model pool) stays resident
+   between requests. Every solver call the daemon makes happens inside a
+   rewrite, so [solver0], the totals when [run] started, makes the
+   [Stats] reply's solver fields the daemon's own work. *)
 type state = {
-  hot : Rewrite.Hot.t;
+  cat : Schema.catalog;
+  cfg : Config.t;
+  solver0 : Solver.stats;
   cache : Cache.t;
   memo : (Protocol.target * string, memo) Hashtbl.t;
   memo_capacity : int;
@@ -62,12 +69,6 @@ let outcome_label (st : Synthesize.stats) =
   | Synthesize.Trivial -> "trivial"
   | Synthesize.Failed msg -> "failed: " ^ msg
 
-let attach q p1 =
-  let where' =
-    match q.Ast.where with None -> Some p1 | Some w -> Some (Ast.And (w, p1))
-  in
-  Printer.string_of_query { q with Ast.where = where' }
-
 (* A cache hit replays the stored verdict against the incoming query:
    the synthesized predicate is re-attached to *this* request's WHERE
    clause, so the reply is exactly what a fresh synthesis of the same
@@ -76,17 +77,18 @@ let attach q p1 =
    fresh rewrite did; the key's split bit guarantees they exist. *)
 let render_entry state m (e : Cache.entry) =
   let q = m.query in
+  let attached p = Printer.string_of_query (Rewrite.attach q p) in
   let outcome, pred, sql =
     match e.Cache.verdict with
-    | Cache.Optimal p -> ("optimal", Printer.string_of_pred p, attach q p)
+    | Cache.Optimal p -> ("optimal", Printer.string_of_pred p, attached p)
     | Cache.Pushed ->
       let p =
-        Rewrite.pushed_pred (Rewrite.Hot.catalog state.hot) ~from:q.Ast.from
-          ~pred:(Rewrite.Hot.target_pred state.hot q)
+        Rewrite.pushed_pred state.cat ~from:q.Ast.from
+          ~pred:(Rewrite.target_pred state.cat q)
           ~target_cols:m.target_cols
       in
       ("optimal", Printer.string_of_pred (Option.get p), "-")
-    | Cache.Valid p -> ("valid", Printer.string_of_pred p, attach q p)
+    | Cache.Valid p -> ("valid", Printer.string_of_pred p, attached p)
     | Cache.Trivial -> ("trivial", "-", "-")
   in
   { Protocol.outcome; cached = true; pred; sql; wall_us = 0. }
@@ -131,8 +133,8 @@ let cachable_verdict (r : Rewrite.rewrite_result) =
   | Synthesize.Failed _ -> None
 
 let prepare state target q =
-  let cat = Rewrite.Hot.catalog state.hot in
-  let pred = Rewrite.Hot.target_pred state.hot q in
+  let cat = state.cat in
+  let pred = Rewrite.target_pred cat q in
   let target_cols =
     match target with
     | Protocol.Cols cols -> cols
@@ -220,7 +222,10 @@ let handle_rewrite state target sql =
       | Some (Some entry) -> reply_of_entry state m entry elapsed
       | Some None | None ->
         let q = m.query in
-        let r = Rewrite.Hot.rewrite state.hot q ~target:(`Cols m.target_cols) in
+        let r =
+          Rewrite.rewrite_for_columns ~cfg:state.cfg state.cat q
+            ~target_cols:m.target_cols
+        in
         (match (m.key, cachable_verdict r) with
          | Some k, Some verdict ->
            Cache.add state.cache k { Cache.verdict; tables = q.Ast.from }
@@ -229,7 +234,7 @@ let handle_rewrite state target sql =
 
 let stats_json state =
   let c = Cache.stats state.cache in
-  let sv = Rewrite.Hot.solver_delta state.hot in
+  let sv = Solver.stats_since state.solver0 in
   let int n = Json.Num (float_of_int n) in
   Json.to_string
     (Json.Obj
@@ -353,9 +358,14 @@ let run ?(on_ready = fun () -> ()) config =
   in
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   if config.trace_file <> None then Trace.enable ();
+  (* Every rewrite re-applies these; applying them up front makes the
+     first request's own spans and checks run in the same mode. *)
+  Config.apply_switches config.cfg;
   let state =
     {
-      hot = Rewrite.Hot.create ~cfg:config.cfg Schema.tpch;
+      cat = Schema.tpch;
+      cfg = config.cfg;
+      solver0 = Solver.stats ();
       cache = Cache.create ~ttl:config.ttl ~capacity:config.capacity ();
       memo = Hashtbl.create 256;
       memo_capacity = max 1 config.capacity;

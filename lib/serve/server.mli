@@ -2,10 +2,11 @@
 
     One process listens on a Unix-domain socket, speaks the
     {!Protocol} frames, and keeps the whole solver hot state — the
-    sample model pool — resident between requests (via a
-    {!Sia_core.Rewrite.Hot} handle), with a {!Cache} of finished
-    rewrites in front so repeated query templates skip solver work
-    entirely. A request memo keyed on the exact (target, SQL text) pair
+    sample model pool — resident between requests. A miss calls
+    {!Sia_core.Rewrite.rewrite_for_columns} under the daemon's one
+    catalog and config; a {!Cache} of finished rewrites in front lets
+    repeated query templates skip solver work entirely, and a hit
+    replays its verdict through {!Sia_core.Rewrite.attach}. A request memo keyed on the exact (target, SQL text) pair
     additionally skips parsing, keying and — while the cache answers
     with the same entry — reply printing for a repeated text; it
     changes no answer and no cache counter.

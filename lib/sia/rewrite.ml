@@ -188,6 +188,11 @@ let separable_outcome cat ~from ~pred (l, r) =
       (fun outcome -> sample_free_stats outcome (Solver.stats_since solver0))
       outcome)
 
+let attach q p1 =
+  match q.Ast.where with
+  | None -> { q with Ast.where = Some p1 }
+  | Some w -> { q with Ast.where = Some (Ast.And (w, p1)) }
+
 let attach_result ?cfg cat q pred target_cols =
   let cfg = Option.value cfg ~default:Config.default in
   let from = q.Ast.from in
@@ -232,12 +237,9 @@ let attach_result ?cfg cat q pred target_cols =
         stats;
       }
     | Audit_passed | Audit_off ->
-      let where' =
-        match q.Ast.where with None -> Some p1 | Some w -> Some (Ast.And (w, p1))
-      in
       {
         original = q;
-        rewritten = Some { q with Ast.where = where' };
+        rewritten = Some (attach q p1);
         synthesized = Some p1;
         audit = verdict;
         stats;
@@ -270,50 +272,6 @@ let rewrite_for_table ?cfg cat q ~target_table =
 let plans cat r =
   ( Planner.plan cat r.original,
     Option.map (Planner.plan cat) r.rewritten )
-
-(* ------------------------------------------------------------------ *)
-(* Hot-state handle: the long-running entry point                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A handle pins everything the per-call entry points re-derive on every
-   invocation — catalog, config, the paranoid solver mode — and
-   accumulates per-request solver deltas, so a serving process pays the
-   setup once and keeps the process-global hot state (the model pool)
-   deliberately resident between requests. *)
-module Hot = struct
-  type t = {
-    cat : Schema.catalog;
-    cfg : Config.t;
-    mutable requests : int;
-    mutable solver_delta : Solver.stats;
-  }
-
-  let create ?cfg cat =
-    let cfg = Option.value cfg ~default:Config.default in
-    (* Fix the global solver modes once, at handle creation: a resident
-       process must not have its auditing state flipped as a side effect
-       of each request the way one-shot CLI calls tolerate. *)
-    Config.apply_switches cfg;
-    { cat; cfg; requests = 0; solver_delta = Solver.stats_zero }
-
-  let config t = t.cfg
-  let catalog t = t.cat
-  let target_pred t q = non_join_pred t.cat q
-
-  let rewrite t q ~target =
-    t.requests <- t.requests + 1;
-    let baseline = Solver.stats () in
-    let r =
-      match target with
-      | `Cols cols -> rewrite_for_columns ~cfg:t.cfg t.cat q ~target_cols:cols
-      | `Table tbl -> rewrite_for_table ~cfg:t.cfg t.cat q ~target_table:tbl
-    in
-    t.solver_delta <- Solver.stats_add t.solver_delta (Solver.stats_since baseline);
-    r
-
-  let requests t = t.requests
-  let solver_delta t = t.solver_delta
-end
 
 (* Batched rewriting on [Synthesize.map_sharded], sharded by the
    (from, pred) pair synthesis sees — the model-pool family key — so one

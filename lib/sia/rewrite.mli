@@ -80,6 +80,12 @@ val rewrite_for_columns :
 (** Like {!rewrite_for_table}, but over an explicit column subset instead
     of every predicate column of one table. *)
 
+val attach : Sia_sql.Ast.query -> Sia_sql.Ast.pred -> Sia_sql.Ast.query
+(** [attach q p1] conjoins [p1] to [q]'s WHERE clause ([p1] alone when
+    [q] has none): the [rewritten] query of every attached result. A
+    replayed verdict (the serve daemon's cache) goes through it too, so
+    it prints exactly as a fresh rewrite of [q] would. *)
+
 val plans :
   Sia_relalg.Schema.catalog ->
   rewrite_result ->
@@ -118,41 +124,6 @@ val table_target_cols :
     predicate order — the column subset {!rewrite_for_table} synthesizes
     over when [pred] is the query's {!target_pred}. Unresolvable columns
     are skipped. *)
-
-(** Hot-state handle for long-running processes (the [sia serve]
-    daemon): catalog, config, and the solver's paranoid mode are fixed
-    once at creation instead of re-derived per call, and the
-    process-global solver hot state — the model pool — stays
-    deliberately resident between requests. The handle additionally
-    accumulates per-request solver deltas for serving-side statistics. *)
-module Hot : sig
-  type t
-
-  val create : ?cfg:Config.t -> Sia_relalg.Schema.catalog -> t
-  (** Build a handle. Applies [cfg]'s paranoid/trace switches to
-      the process-global solver state once, up front. *)
-
-  val config : t -> Config.t
-  val catalog : t -> Sia_relalg.Schema.catalog
-
-  val target_pred : t -> Sia_sql.Ast.query -> Sia_sql.Ast.pred
-  (** {!target_pred} over the handle's catalog. *)
-
-  val rewrite :
-    t ->
-    Sia_sql.Ast.query ->
-    target:[ `Cols of string list | `Table of string ] ->
-    rewrite_result
-  (** One request: {!rewrite_for_columns} or {!rewrite_for_table} under
-      the handle's config, with the solver delta folded into
-      {!solver_delta}. *)
-
-  val requests : t -> int
-  (** Requests served through this handle. *)
-
-  val solver_delta : t -> Sia_smt.Solver.stats
-  (** Accumulated solver activity across all {!rewrite} calls. *)
-end
 
 val rewrite_all :
   ?cfg:Config.t ->

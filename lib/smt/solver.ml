@@ -99,7 +99,6 @@ let stats_zero =
 
 let totals = ref stats_zero
 let stats () = !totals
-let reset_stats () = totals := stats_zero
 
 (* Field-wise combination of two stats records: [i] on the counters, [f]
    on the times. Sums and deltas are both this walk. *)

@@ -195,7 +195,6 @@ val absorb_stats : stats -> unit
     {!stats} accounts for work forked children did on the caller's
     behalf. *)
 
-val reset_stats : unit -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 (** {2 Sample-generation fast-path accounting}

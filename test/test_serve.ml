@@ -387,12 +387,19 @@ let test_daemon_cache_flow () =
     | Protocol.Rewritten r -> r
     | _ -> Alcotest.fail "expected a rewrite reply"
   in
+  (* The solver counters are the daemon's own work since it started:
+     a miss synthesizes, a hit runs no solver query. *)
+  let solver_queries () = stats_field c "solver_queries" in
   let sql = join_sql in
+  let q0 = solver_queries () in
   let r1 = ask sql in
   Alcotest.(check bool) "first request misses" false r1.Protocol.cached;
   Alcotest.(check bool) "a predicate is attached" true (r1.Protocol.sql <> "-");
+  let q1 = solver_queries () in
+  Alcotest.(check bool) "the miss runs solver queries" true (q1 > q0);
   let r2 = ask sql in
   Alcotest.(check bool) "repeat hits" true r2.Protocol.cached;
+  Alcotest.(check int) "the hit runs no solver query" q1 (solver_queries ());
   Alcotest.(check string) "replayed predicate byte-identical" r1.Protocol.pred
     r2.Protocol.pred;
   Alcotest.(check string) "replayed SQL byte-identical" r1.Protocol.sql
@@ -410,6 +417,8 @@ let test_daemon_cache_flow () =
   Alcotest.(check string) "variant attaches to its own WHERE clause"
     (variant ^ " AND " ^ r1.Protocol.pred ^ ";")
     r3.Protocol.sql;
+  Alcotest.(check int) "the variant hit runs no solver query" q1
+    (solver_queries ());
   (* A separable request attaches nothing, on the miss and on the hit. *)
   let s1 = ask separable_sql in
   let s2 = ask separable_sql in
